@@ -126,13 +126,14 @@ func (c *Cluster) failToR(rack int) {
 	c.tors[rack].SetDown(true)
 }
 
-// scheduleScenario arms the run's compiled timeline on the engine: one
-// crash callback per fail event at its instant, one heartbeat-detection
+// scheduleScenario arms the run's timeline on the engine: one crash
+// callback per fail event at its instant, one heartbeat-detection
 // callback three silent periods later, and one revival callback per
 // revive event. The timeline is walked in stable time order; revive
-// events are inserted first so a revival and a detection landing on the
-// same instant execute in the order the legacy one-shot hooks used
-// (revival first) — the legacy-equivalence regression test pins this.
+// events are inserted first so a revival runs before any crash or
+// detection callback landing on the same instant — a server revived
+// exactly when its detector fires is a transient blip, not an outage.
+// validateScenario walks events in this same order.
 // Each detection callback is stamped with the crash epoch that armed it
 // and fires only while that epoch's outage persists: a server (or ToR)
 // that revived and crashed again inside the detection window is a new
@@ -252,8 +253,8 @@ func (c *Cluster) ReviveServer(idx int) bool {
 	return true
 }
 
-// ReviveToR un-darkens a failed ToR (Config.RecoverToRIndex, or direct
-// calls from tests and tools): the switch comes back with blank SRAM, so
+// ReviveToR un-darkens a failed ToR (EventReviveToR, or direct calls
+// from tests and tools): the switch comes back with blank SRAM, so
 // the control plane replays its tables from surviving cluster state —
 // vSSD registrations, stripe members with any repaired replacements,
 // and failover/remote-dead marks for members that are still dead — and

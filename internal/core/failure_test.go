@@ -14,8 +14,7 @@ func failConfig() Config {
 	cfg.System = RackBlox
 	cfg.Warmup = 50 * sim.Millisecond
 	cfg.Duration = 700 * sim.Millisecond
-	cfg.FailServerIndex = 0
-	cfg.FailServerAt = 250 * sim.Millisecond
+	cfg.Scenario = []Event{FailServer(0, 250*sim.Millisecond)}
 	return cfg
 }
 
@@ -91,53 +90,32 @@ func TestFailureUnderVDCKeepsRunning(t *testing.T) {
 }
 
 // TestFailServersRejectsBadSpecs is the regression test for the typed
-// failure-spec validation: duplicate server ids used to be silently
-// deduplicated (double-counting one crash against the redundancy
-// budget), and out-of-range indices were silently ignored.
+// failure-spec validation of a set of crashes at one instant: duplicate
+// server ids used to be silently deduplicated (double-counting one crash
+// against the redundancy budget), and out-of-range indices were silently
+// ignored. Each bad spec must reach Run as a *FailureSpecError naming
+// the Scenario field.
 func TestFailServersRejectsBadSpecs(t *testing.T) {
+	at := 50 * sim.Millisecond
 	cases := []struct {
 		name   string
-		mutate func(*Config)
-		field  string
+		events []Event
 	}{
-		{"duplicate in FailServers", func(c *Config) {
-			c.FailServerIndex = -1
-			c.FailServers = []int{1, 2, 1}
-		}, "FailServers"},
-		{"duplicate of FailServerIndex", func(c *Config) {
-			c.FailServerIndex = 0
-			c.FailServers = []int{0}
-		}, "FailServers"},
-		{"out of range high", func(c *Config) {
-			c.FailServers = []int{99}
-		}, "FailServers"},
-		{"negative entry", func(c *Config) {
-			c.FailServers = []int{-3}
-		}, "FailServers"},
-		{"FailServerIndex out of range", func(c *Config) {
-			c.FailServerIndex = 64
-		}, "FailServerIndex"},
-		{"FailServerIndex negative but not -1", func(c *Config) {
-			c.FailServerIndex = -5
-		}, "FailServerIndex"},
-		{"FailServers overlaps failed rack", func(c *Config) {
-			c.FailRackIndex = 0
-			c.FailServers = []int{0}
-		}, "FailServers"},
-		{"FailServerIndex inside failed rack", func(c *Config) {
-			c.FailRackIndex = 0
-			c.FailServerIndex = 1
-		}, "FailServerIndex"},
-		{"FailRackIndex out of range", func(c *Config) {
-			c.FailRackIndex = 7
-		}, "FailRackIndex"},
-		{"FailToRIndex out of range", func(c *Config) {
-			c.FailToRIndex = 7
-		}, "FailToRIndex"},
+		{"duplicate crash at one instant", []Event{
+			FailServer(1, at), FailServer(2, at), FailServer(1, at)}},
+		{"duplicate of the first crash", []Event{
+			FailServer(0, at), FailServer(0, at)}},
+		{"server out of range high", []Event{FailServer(99, at)}},
+		{"server index at the server count", []Event{FailServer(64, at)}},
+		{"negative server index", []Event{FailServer(-3, at)}},
+		{"server inside a rack crashed at the same instant", []Event{
+			FailRack(0, at), FailServer(1, at)}},
+		{"rack out of range", []Event{FailRack(7, at)}},
+		{"tor out of range", []Event{FailToR(7, at)}},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()
-		tc.mutate(&cfg)
+		cfg.Scenario = tc.events
 		_, err := Run(cfg)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
@@ -148,16 +126,14 @@ func TestFailServersRejectsBadSpecs(t *testing.T) {
 			t.Errorf("%s: err = %v, want *FailureSpecError", tc.name, err)
 			continue
 		}
-		if spec.Field != tc.field {
-			t.Errorf("%s: field = %q, want %q", tc.name, spec.Field, tc.field)
+		if spec.Field != "Scenario" {
+			t.Errorf("%s: field = %q, want %q", tc.name, spec.Field, "Scenario")
 		}
 	}
-	// Distinct in-range entries stay accepted.
+	// Distinct in-range crashes at one instant stay accepted.
 	cfg := DefaultConfig()
 	cfg.Duration = 100 * sim.Millisecond
-	cfg.FailServerIndex = 0
-	cfg.FailServers = []int{1}
-	cfg.FailServerAt = 50 * sim.Millisecond
+	cfg.Scenario = []Event{FailServer(0, at), FailServer(1, at)}
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("valid two-server spec rejected: %v", err)
 	}
@@ -167,7 +143,7 @@ func TestFailureOfReplicaServerOnly(t *testing.T) {
 	// Crash server 1, which hosts replicas of pair 0 and the primary of
 	// pair 2 (round-robin placement) — both directions must fail over.
 	cfg := failConfig()
-	cfg.FailServerIndex = 1
+	cfg.Scenario[0].Index = 1
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

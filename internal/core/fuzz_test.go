@@ -21,14 +21,42 @@ func fuzzEvent(b []byte) Event {
 	}
 }
 
+// permuteSameInstant returns a copy of events in which every group of
+// events sharing an instant is reordered among that group's own slots:
+// rotated by the low seven bits of flags, then reversed when the high
+// bit is set. Events at distinct instants keep their positions.
+func permuteSameInstant(events []Event, flags byte) []Event {
+	slots := make(map[sim.Time][]int)
+	var instants []sim.Time
+	for i, ev := range events {
+		if _, seen := slots[ev.At]; !seen {
+			instants = append(instants, ev.At)
+		}
+		slots[ev.At] = append(slots[ev.At], i)
+	}
+	out := make([]Event, len(events))
+	for _, at := range instants {
+		group := slots[at]
+		n := len(group)
+		for k, i := range group {
+			j := (k + int(flags&0x7f)) % n
+			if flags&0x80 != 0 {
+				j = n - 1 - j
+			}
+			out[i] = events[group[j]]
+		}
+	}
+	return out
+}
+
 // FuzzScenarioValidate drives the scenario-timeline validator with
 // arbitrary event lists — orderings, duplicates, revive-without-fail,
 // unknown kinds, negative times — and asserts it never panics and that
 // every rejection is a typed *FailureSpecError whose message formats
 // cleanly. A trailing partial record (1-3 leftover bytes) doubles as a
-// flag byte that sets deprecated flat Fail*/Recover* fields alongside
-// the timeline: that combination must always be rejected — the
-// precedence between the two forms is never resolved silently.
+// flag byte that permutes the events sharing each instant
+// (permuteSameInstant): the verdict must not change, because the driver
+// runs same-instant events in an order fixed by kind, not by listing.
 func FuzzScenarioValidate(f *testing.F) {
 	// Seed corpus: the interesting accept/reject shapes.
 	f.Add([]byte{0, 0, 0, 100})                            // one server crash
@@ -43,11 +71,16 @@ func FuzzScenarioValidate(f *testing.F) {
 	f.Add([]byte{5, 0, 0, 100})                            // unknown kind
 	f.Add([]byte{1, 0, 0, 100, 3, 2, 0, 200})              // rack crash, revive one member
 	f.Add([]byte{})                                        // empty timeline
-	f.Add([]byte{0, 0, 0, 100, 1})                         // scenario + legacy FailServerIndex
-	f.Add([]byte{0, 0, 0, 100, 2})                         // scenario + bare FailServerAt
-	f.Add([]byte{0, 0, 0, 100, 4})                         // scenario + bare RecoverToRAt
-	f.Add([]byte{0, 0, 0, 100, 8})                         // scenario + legacy FailToRIndex
-	f.Add([]byte{3})                                       // legacy flags, no scenario
+
+	// Same-instant permutations, chosen by the trailing flag byte: a
+	// revive and a re-crash of one server (rotated), the same for a ToR
+	// (reversed), a rack and one of its servers, three distinct crashes,
+	// and a rack+tor double-booking (rotated and reversed).
+	f.Add([]byte{0, 0, 0, 100, 3, 0, 0, 200, 0, 0, 0, 200, 1})
+	f.Add([]byte{2, 0, 0, 100, 4, 0, 0, 200, 2, 0, 0, 200, 0x80})
+	f.Add([]byte{1, 0, 0, 100, 0, 1, 0, 100, 1})
+	f.Add([]byte{0, 0, 0, 100, 0, 1, 0, 100, 0, 2, 0, 100, 2})
+	f.Add([]byte{1, 1, 0, 100, 2, 1, 0, 100, 0x81})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := DefaultConfig()
@@ -57,31 +90,16 @@ func FuzzScenarioValidate(f *testing.F) {
 		for i := 0; i+3 < full; i += 4 {
 			cfg.Scenario = append(cfg.Scenario, fuzzEvent(data[i:i+4]))
 		}
-		legacy := false
+		err := cfg.Validate()
 		if rest := data[full:]; len(rest) > 0 {
-			flags := rest[0]
-			if flags&1 != 0 {
-				cfg.FailServerIndex = 0
-				legacy = true
-			}
-			if flags&2 != 0 {
-				cfg.FailServerAt = 100 * sim.Millisecond
-				legacy = true
-			}
-			if flags&4 != 0 {
-				cfg.RecoverToRAt = 200 * sim.Millisecond
-				legacy = true
-			}
-			if flags&8 != 0 {
-				cfg.FailToRIndex = 1
-				legacy = true
+			perm := cfg
+			perm.Scenario = permuteSameInstant(cfg.Scenario, rest[0])
+			if perr := perm.Validate(); (err == nil) != (perr == nil) {
+				t.Fatalf("verdict depends on same-instant listing order:\n%v -> %v\n%v -> %v",
+					cfg.Scenario, err, perm.Scenario, perr)
 			}
 		}
-		err := cfg.Validate()
 		if err == nil {
-			if legacy && len(cfg.Scenario) > 0 {
-				t.Fatal("Validate accepted a Scenario combined with deprecated flat fields")
-			}
 			return
 		}
 		var spec *FailureSpecError

@@ -133,14 +133,10 @@ func (st *reqState) decInflight() {
 // single-rack testbed.
 type Rack struct {
 	cfg Config
-	// group is the sharded topology: one engine per rack plus the
-	// coordinator shard (shard 0), where the spine boundary and the
-	// scenario driver live. The full per-I/O datapath currently runs on
-	// the coordinator engine — eng aliases group.Coordinator() — which
-	// keeps every Result byte-identical to the historical single-engine
-	// runs; the rack shards carry the parallel soak model (shardsim.go)
-	// until the datapath migrates onto them rack by rack.
-	group   *sim.ShardGroup
+	// eng is the one engine the whole rack runs on: the per-I/O
+	// datapath of every rack, the spine boundary, and the scenario
+	// driver. The parallel per-rack shards exist only in the separate
+	// soak model (shardsim.go).
 	eng     *sim.Engine
 	net     *netsim.Network
 	cluster *Cluster
@@ -234,14 +230,13 @@ func NewRack(cfg Config) (*Rack, error) {
 	}
 	r := &Rack{
 		cfg:      cfg,
-		group:    sim.NewShardGroup(cfg.racks(), cfg.CrossRackLatency),
+		eng:      sim.NewEngine(),
 		rec:      stats.NewRecorder(),
 		reqs:     make(map[uint64]*reqState),
 		insts:    make(map[uint32]*instance),
 		rng:      sim.NewRNG(cfg.Seed),
 		clientIP: packet.IP4(10, 0, 0, 1),
 	}
-	r.eng = r.group.Coordinator()
 	r.net = netsim.New(cfg.Net, r.rng.Fork(100))
 	r.cluster = newCluster(r)
 	r.sw = r.cluster.tors[0]
@@ -583,11 +578,6 @@ func (r *Rack) Keyspace() int {
 
 // Engine exposes the simulation engine (tests).
 func (r *Rack) Engine() *sim.Engine { return r.eng }
-
-// Shards exposes the rack's sharded topology: shard 0 is the coordinator
-// engine the datapath runs on (== Engine()), shards 1..racks the
-// per-rack engines.
-func (r *Rack) Shards() *sim.ShardGroup { return r.group }
 
 // Switch exposes the first rack's ToR switch (tests).
 func (r *Rack) Switch() *switchsim.Switch { return r.sw }

@@ -35,8 +35,7 @@ func recoveryConfig() Config {
 // re-integration pays the degraded cost for an unreachable home.
 func TestServerCrashReintegrates(t *testing.T) {
 	cfg := recoveryConfig()
-	cfg.FailServerIndex = 0
-	cfg.FailServerAt = 100 * sim.Millisecond
+	cfg.Scenario = []Event{FailServer(0, 100*sim.Millisecond)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -63,15 +62,14 @@ func TestServerCrashReintegrates(t *testing.T) {
 }
 
 // TestToRRevivalClearsSiblingState is the regression for the stale
-// remote-dead bug: before revival existed, FailToRIndex left every
+// remote-dead bug: before revival existed, a ToR failure left every
 // sibling ToR's MarkRemoteDead entries (and the failover rewrites for
 // the darkened members) in place forever. The first half captures that
 // stale-state behavior; the second asserts revival clears it everywhere.
 func TestToRRevivalClearsSiblingState(t *testing.T) {
 	darkRack := 1
 	base := recoveryConfig()
-	base.FailToRIndex = darkRack
-	base.FailServerAt = 100 * sim.Millisecond
+	base.Scenario = []Event{FailToR(darkRack, 100*sim.Millisecond)}
 
 	// Without revival: sibling ToRs keep the dark rack's members marked
 	// remote-dead and failed-over long after the run ends — the stale
@@ -110,8 +108,7 @@ func TestToRRevivalClearsSiblingState(t *testing.T) {
 	// With revival: every sibling mark is cleared and the revived ToR
 	// serves its rack directly again.
 	cfg := base
-	cfg.RecoverToRIndex = darkRack
-	cfg.RecoverToRAt = 250 * sim.Millisecond
+	cfg.Scenario = append(base.Scenario, ReviveToR(darkRack, 250*sim.Millisecond))
 	r2, err := NewRack(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -174,15 +171,12 @@ func TestReviveToRNoFailureIsNoOp(t *testing.T) {
 // failure it is meant to undo (a silent permanent no-op otherwise).
 func TestRecoverToRValidation(t *testing.T) {
 	cfg := recoveryConfig()
-	cfg.RecoverToRIndex = 99
+	cfg.Scenario = []Event{ReviveToR(99, 200*sim.Millisecond)}
 	if err := cfg.Validate(); err == nil {
-		t.Error("out-of-range RecoverToRIndex accepted")
+		t.Error("out-of-range revive-tor index accepted")
 	}
 	cfg = recoveryConfig()
-	cfg.FailToRIndex = 1
-	cfg.FailServerAt = 300 * sim.Millisecond
-	cfg.RecoverToRIndex = 1
-	cfg.RecoverToRAt = 120 * sim.Millisecond
+	cfg.Scenario = []Event{FailToR(1, 300*sim.Millisecond), ReviveToR(1, 120*sim.Millisecond)}
 	err := cfg.Validate()
 	if err == nil {
 		t.Fatal("revival at or before the ToR failure instant accepted")
@@ -191,7 +185,7 @@ func TestRecoverToRValidation(t *testing.T) {
 	if !errors.As(err, &spec) {
 		t.Errorf("error %v is not a *FailureSpecError", err)
 	}
-	cfg.RecoverToRAt = 400 * sim.Millisecond
+	cfg.Scenario[1].At = 400 * sim.Millisecond
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("valid revival spec rejected: %v", err)
 	}
@@ -225,7 +219,7 @@ func TestRecoveryLifecycleProperty(t *testing.T) {
 			// Spread placement keeps every rack at <= m chunks, so one
 			// rack crash stays within the redundancy budget.
 			cfg.Placement = PlacementSpread
-			cfg.FailRackIndex = rng.Intn(cfg.Racks)
+			cfg.Scenario = []Event{FailRack(rng.Intn(cfg.Racks), 100*sim.Millisecond)}
 		} else {
 			if !spreadOK || rng.Intn(2) == 0 {
 				cfg.Placement = PlacementCompact
@@ -238,17 +232,10 @@ func TestRecoveryLifecycleProperty(t *testing.T) {
 			for len(seen) < crashes {
 				seen[rng.Intn(total)] = true
 			}
-			first := true
 			for idx := range seen {
-				if first {
-					cfg.FailServerIndex = idx
-					first = false
-				} else {
-					cfg.FailServers = append(cfg.FailServers, idx)
-				}
+				cfg.Scenario = append(cfg.Scenario, FailServer(idx, 100*sim.Millisecond))
 			}
 		}
-		cfg.FailServerAt = 100 * sim.Millisecond
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("trial %d (k=%d m=%d rack=%v): %v", trial, k, m, wholeRack, err)

@@ -28,92 +28,49 @@ func fingerprint(t *testing.T, res *Result) string {
 	return string(b)
 }
 
-// TestLegacyFieldsCompileToEquivalentScenario is the API-redesign
-// regression: every deprecated flat-field failure form must produce a
-// Result byte-identical to the explicit Config.Scenario timeline it
-// compiles down to, because both run through the same validator and
-// event driver.
-func TestLegacyFieldsCompileToEquivalentScenario(t *testing.T) {
-	type form struct {
-		name     string
-		legacy   func(*Config)
-		scenario func(*Config)
-	}
+// TestSameInstantListingOrderIsIrrelevant is the regression for the
+// validator walking same-instant events in input order while the driver
+// runs every revival first: a fail and a revive of one target at the
+// same instant must validate, and run, identically however the slice
+// lists them.
+func TestSameInstantListingOrderIsIrrelevant(t *testing.T) {
 	at := 100 * sim.Millisecond
-	reviveAt := 250 * sim.Millisecond
-	forms := []form{
-		{"single server crash",
-			func(c *Config) {
-				c.FailServerIndex = 0
-				c.FailServerAt = at
-			},
-			func(c *Config) {
-				c.Scenario = []Event{FailServer(0, at)}
-			}},
-		{"multi server crash",
-			func(c *Config) {
-				c.FailServerIndex = 0
-				c.FailServers = []int{1}
-				c.FailServerAt = at
-			},
-			func(c *Config) {
-				c.Scenario = []Event{FailServer(0, at), FailServer(1, at)}
-			}},
-		{"whole rack crash",
-			func(c *Config) {
-				c.FailRackIndex = 1
-				c.FailServerAt = at
-			},
-			func(c *Config) {
-				c.Scenario = []Event{FailRack(1, at)}
-			}},
-		{"tor outage",
-			func(c *Config) {
-				c.FailToRIndex = 1
-				c.FailServerAt = at
-			},
-			func(c *Config) {
-				c.Scenario = []Event{FailToR(1, at)}
-			}},
-		{"tor outage and revival",
-			func(c *Config) {
-				c.FailToRIndex = 1
-				c.FailServerAt = at
-				c.RecoverToRIndex = 1
-				c.RecoverToRAt = reviveAt
-			},
-			func(c *Config) {
-				c.Scenario = []Event{FailToR(1, at), ReviveToR(1, reviveAt)}
-			}},
+	again := 200 * sim.Millisecond
+	pairs := []struct {
+		name        string
+		first, swap []Event
+	}{
+		{"server",
+			[]Event{FailServer(0, at), ReviveServer(0, again), FailServer(0, again)},
+			[]Event{FailServer(0, at), FailServer(0, again), ReviveServer(0, again)}},
+		{"tor",
+			[]Event{FailToR(1, at), ReviveToR(1, again), FailToR(1, again)},
+			[]Event{FailToR(1, at), FailToR(1, again), ReviveToR(1, again)}},
 	}
-	for _, f := range forms {
-		base := recoveryConfig()
-		base.Duration = 300 * sim.Millisecond
-
-		legacy := base
-		f.legacy(&legacy)
-		lres, err := Run(legacy)
-		if err != nil {
-			t.Fatalf("%s: legacy run: %v", f.name, err)
+	for _, p := range pairs {
+		var prints [2]string
+		for i, events := range [][]Event{p.first, p.swap} {
+			cfg := recoveryConfig()
+			cfg.Duration = 300 * sim.Millisecond
+			cfg.Scenario = events
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s listing %d: %v", p.name, i, err)
+			}
+			prints[i] = fingerprint(t, res)
 		}
-		timeline := base
-		f.scenario(&timeline)
-		sres, err := Run(timeline)
-		if err != nil {
-			t.Fatalf("%s: scenario run: %v", f.name, err)
-		}
-		if lf, sf := fingerprint(t, lres), fingerprint(t, sres); lf != sf {
-			t.Errorf("%s: legacy and scenario runs diverged\nlegacy:   %.220s\nscenario: %.220s",
-				f.name, lf, sf)
+		if prints[0] != prints[1] {
+			t.Errorf("%s: listings diverged\nfirst: %.220s\nswap:  %.220s",
+				p.name, prints[0], prints[1])
 		}
 	}
 }
 
 // TestScenarioValidation walks the timeline validator's rejection rules:
 // every rejection is a typed *FailureSpecError naming the Scenario
-// field, and the rules catch what the flat fields never could express —
-// double crashes, revive-before-fail, and same-instant fault-domain
-// double-booking.
+// field — out-of-range indices, double crashes, revive-before-fail, and
+// same-instant fault-domain double-booking. TestFailServersRejectsBadSpecs
+// covers the single-instant crash sets end to end through Run.
 func TestScenarioValidation(t *testing.T) {
 	at := 100 * sim.Millisecond
 	later := 200 * sim.Millisecond
@@ -132,35 +89,6 @@ func TestScenarioValidation(t *testing.T) {
 		}, ""},
 		{"valid revive one server of a crashed rack", func(c *Config) {
 			c.Scenario = []Event{FailRack(0, at), ReviveServer(2, later)}
-		}, ""},
-		{"mixed with legacy fields", func(c *Config) {
-			c.FailServerIndex = 0
-			c.Scenario = []Event{FailServer(1, at)}
-		}, "Scenario"},
-		{"mixed with legacy FailServers list", func(c *Config) {
-			c.FailServers = []int{1}
-			c.Scenario = []Event{FailServer(0, at)}
-		}, "Scenario"},
-		{"mixed with legacy recover fields", func(c *Config) {
-			c.FailToRIndex = 1
-			c.RecoverToRIndex = 1
-			c.RecoverToRAt = later
-			c.Scenario = []Event{FailServer(0, at)}
-		}, "Scenario"},
-		{"mixed with bare legacy FailServerAt", func(c *Config) {
-			// The flat instant alone injects nothing, but with a Scenario
-			// it signals a half-migrated config: silently preferring the
-			// timeline would drop the author's intent (the old precedence
-			// bug), so the mix is rejected like any other combination.
-			c.FailServerAt = at
-			c.Scenario = []Event{FailServer(0, later)}
-		}, "Scenario"},
-		{"mixed with bare legacy RecoverToRAt", func(c *Config) {
-			c.RecoverToRAt = later
-			c.Scenario = []Event{FailToR(1, at), ReviveToR(1, later)}
-		}, "Scenario"},
-		{"bare legacy FailServerAt without scenario still accepted", func(c *Config) {
-			c.FailServerAt = at // documented no-op: no index selects a target
 		}, ""},
 		{"fail-server out of range", func(c *Config) {
 			c.Scenario = []Event{FailServer(99, at)}
@@ -195,11 +123,6 @@ func TestScenarioValidation(t *testing.T) {
 		{"unknown event kind", func(c *Config) {
 			c.Scenario = []Event{{Kind: EventKind(42), Index: 0, At: at}}
 		}, "Scenario"},
-		{"legacy tor overlaps legacy rack", func(c *Config) {
-			c.FailRackIndex = 1
-			c.FailToRIndex = 1
-			c.FailServerAt = at
-		}, "FailToRIndex"},
 		{"valid repair SLO on a multi-rack cluster", func(c *Config) {
 			c.RepairSLO = RepairSLO{TargetP99: 5 * sim.Millisecond}
 		}, ""},
@@ -251,11 +174,10 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
-// TestServerRevivalCatchUpRestores is the new capability the flat
-// fields could not express: a crashed server returns empty mid-run, its
-// lost chunk holder catches up via the metered reconstructor, and the
-// holder is re-registered under its own id — after which no read pays
-// the degraded cost.
+// TestServerRevivalCatchUpRestores: a crashed server returns empty
+// mid-run, its lost chunk holder catches up via the metered
+// reconstructor, and the holder is re-registered under its own id —
+// after which no read pays the degraded cost.
 func TestServerRevivalCatchUpRestores(t *testing.T) {
 	cfg := recoveryConfig()
 	cfg.Scenario = []Event{

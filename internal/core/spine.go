@@ -11,10 +11,9 @@ import (
 // object cross-rack code is allowed to touch. Everything that leaves a
 // rack — ToR handoffs, Hermes replication messages, degraded-read chunk
 // fetches, repair batches, re-integration updates — pays the spine here,
-// never by reaching into another rack's objects. In the sharded topology
-// the spine lives on the coordinator shard (shard 0 of the rack's
-// sim.ShardGroup), which is exactly why the boundary must be explicit:
-// it is the only state cross-rack interactions may share.
+// never by reaching into another rack's objects. The boundary is kept
+// explicit so the datapath can later be split into per-rack shards: the
+// spine is the only state cross-rack interactions may share.
 //
 // With one rack the spine degenerates to the paper's testbed: no link
 // (nil), zero latency, every meter call free.
@@ -43,8 +42,8 @@ type Spine struct {
 }
 
 // newSpine builds the cross-rack boundary for a topology of racks fault
-// domains on eng (the coordinator shard's engine). The link exists only
-// when racks > 1.
+// domains on eng (the rack's engine). The link exists only when
+// racks > 1.
 func newSpine(eng *sim.Engine, cfg *Config) *Spine {
 	s := &Spine{
 		eng:      eng,

@@ -10,7 +10,7 @@ import (
 // TestRepairReintegrationByteIdentity is the data-plane half of the
 // recovery-lifecycle property (its simulator half lives in
 // internal/core TestRecoveryLifecycleProperty): randomized over seeds,
-// RS parameters, and placement modes, a FailServers/FailRackIndex-style
+// RS parameters, and placement modes, a FailServer/FailRack-style
 // failure followed by full chunk repair and re-integration leaves every
 // stripe readable without reconstruction — the post-repair holder map
 // has a live chunk for each position — and byte-identical to the

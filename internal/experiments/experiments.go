@@ -665,9 +665,8 @@ func FigECWith(scale Scale, opt Options) *Table {
 			cfg.Redundancy = red
 			cfg.Workload = sc.workload
 			if sc.failTwo {
-				cfg.FailServerIndex = 0
-				cfg.FailServers = []int{1}
-				cfg.FailServerAt = cfg.Warmup + cfg.Duration/4
+				at := cfg.Warmup + cfg.Duration/4
+				cfg.Scenario = []core.Event{core.FailServer(0, at), core.FailServer(1, at)}
 			}
 			opt.instrument(&cfg)
 			res, err := core.Run(cfg)
@@ -776,8 +775,7 @@ func FigMR(scale Scale, opt Options) *Table {
 			cfg.Placement = pl.mode
 			cfg.CrossRackMBps = crossBW
 			if sc.failRack {
-				cfg.FailRackIndex = 0
-				cfg.FailServerAt = cfg.Warmup + cfg.Duration/4
+				cfg.Scenario = []core.Event{core.FailRack(0, cfg.Warmup+cfg.Duration/4)}
 			}
 			opt.instrument(&cfg)
 			res, err := core.Run(cfg)
@@ -866,23 +864,13 @@ func FigRL(scale Scale, opt Options) *Table {
 	type phase struct {
 		series, x string
 		measure   sim.Time // measured window start (Warmup)
-		mutate    func(*core.Config)
+		events    []core.Event
 	}
-	crash := func(cfg *core.Config) {
-		cfg.FailServerIndex = 0
-		cfg.FailServerAt = rlFailAt
-	}
-	darken := func(cfg *core.Config) {
-		cfg.FailToRIndex = 1
-		cfg.FailServerAt = rlFailAt
-	}
-	revive := func(cfg *core.Config) {
-		darken(cfg)
-		cfg.RecoverToRIndex = 1
-		cfg.RecoverToRAt = rlReviveAt
-	}
+	crash := []core.Event{core.FailServer(0, rlFailAt)}
+	darken := []core.Event{core.FailToR(1, rlFailAt)}
+	revive := []core.Event{core.FailToR(1, rlFailAt), core.ReviveToR(1, rlReviveAt)}
 	phases := []phase{
-		{"healthy", "baseline", rlHealedBy, func(*core.Config) {}},
+		{"healthy", "baseline", rlHealedBy, nil},
 		{"server crash", "degraded", rlFailAt, crash},
 		{"server crash", "post-repair", rlHealedBy, crash},
 		{"tor outage", "dark", rlFailAt, darken},
@@ -893,7 +881,7 @@ func FigRL(scale Scale, opt Options) *Table {
 		cfg := rlConfig(scale, opt)
 		cfg.Warmup = ph.measure
 		cfg.Duration = window
-		ph.mutate(&cfg)
+		cfg.Scenario = ph.events
 		opt.instrument(&cfg)
 		res, err := core.Run(cfg)
 		if err != nil {
@@ -1107,14 +1095,55 @@ func RedundancySummary(spec core.RedundancySpec, scale Scale) (*Table, error) {
 	return t, nil
 }
 
+// experiment is one registry entry: an id and the function that runs it.
+type experiment struct {
+	id  string
+	run func(Scale, Options) []*Table
+	// deterministic marks the entries whose tables are pinned byte for
+	// byte: TestDeterministicReplay reruns them and
+	// TestBenchTablesUnchanged compares them with the checked-in BENCH
+	// file. figsh is not, because its columns are wall-clock times; the
+	// paper figures are left out because the BENCH file does not record
+	// them.
+	deterministic bool
+}
+
+// registry lists every experiment in the order All reports them.
+var registry = []experiment{
+	{"table2", func(Scale, Options) []*Table { return []*Table{Table2()} }, false},
+	{"fig9", func(s Scale, _ Options) []*Table { return []*Table{Fig9a(s), Fig9b(s)} }, false},
+	{"fig10", func(s Scale, _ Options) []*Table { return []*Table{Fig10a(s), Fig10b(s)} }, false},
+	{"fig11", func(s Scale, _ Options) []*Table { return []*Table{Fig11a(s), Fig11b(s)} }, false},
+	{"fig12", func(s Scale, _ Options) []*Table { return []*Table{Fig12(s)} }, false},
+	{"fig13", func(s Scale, _ Options) []*Table { return []*Table{Fig13a(s), Fig13b(s)} }, false},
+	{"fig14", func(s Scale, _ Options) []*Table { return []*Table{Fig14(s)} }, false},
+	{"fig15", func(s Scale, _ Options) []*Table { return []*Table{Fig15a(s), Fig15b(s)} }, false},
+	{"fig16", func(s Scale, _ Options) []*Table { return []*Table{Fig16(s)} }, false},
+	{"fig17", func(s Scale, _ Options) []*Table { return []*Table{Fig17(s)} }, false},
+	{"fig18", func(s Scale, _ Options) []*Table { return []*Table{Fig18(s)} }, false},
+	{"fig19", func(s Scale, _ Options) []*Table { return []*Table{Fig19(s)} }, false},
+	{"fig20", func(s Scale, _ Options) []*Table { return []*Table{Fig20(s)} }, false},
+	{"fig21", func(s Scale, _ Options) []*Table { return []*Table{Fig21(s)} }, false},
+	{"fig22", func(Scale, Options) []*Table { return []*Table{Fig22()} }, false},
+	{"fig23", func(Scale, Options) []*Table { return []*Table{Fig23()} }, false},
+	{"predictor", func(Scale, Options) []*Table { return []*Table{PredictorAccuracy()} }, false},
+	{"gcablation", func(s Scale, _ Options) []*Table { return []*Table{GCAblation(s)} }, false},
+	{"figec", func(s Scale, o Options) []*Table { return []*Table{FigECWith(s, o)} }, true},
+	{"figmr", func(s Scale, o Options) []*Table { return []*Table{FigMR(s, o)} }, true},
+	{"figrl", func(s Scale, o Options) []*Table { return []*Table{FigRL(s, o)} }, true},
+	{"figsc", func(s Scale, o Options) []*Table { return []*Table{FigSC(s, o)} }, true},
+	{"figslo", func(s Scale, o Options) []*Table { return []*Table{FigSLO(s, o)} }, true},
+	{"figra", func(s Scale, o Options) []*Table { return []*Table{FigRA(s, o)} }, true},
+	{"figsh", func(s Scale, o Options) []*Table { return []*Table{FigSH(s, o)} }, false},
+}
+
 // All returns every experiment id in order.
 func All() []string {
-	return []string{
-		"table2", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-		"fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
-		"fig22", "fig23", "predictor", "gcablation", "figec", "figmr",
-		"figrl", "figsc", "figslo", "figra", "figsh",
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
+	return ids
 }
 
 // ByID runs an experiment by its id with default options.
@@ -1124,57 +1153,10 @@ func ByID(id string, scale Scale) ([]*Table, error) {
 
 // ByIDWith runs an experiment by its id, returning its tables.
 func ByIDWith(id string, scale Scale, opt Options) ([]*Table, error) {
-	switch id {
-	case "table2":
-		return []*Table{Table2()}, nil
-	case "fig9":
-		return []*Table{Fig9a(scale), Fig9b(scale)}, nil
-	case "fig10":
-		return []*Table{Fig10a(scale), Fig10b(scale)}, nil
-	case "fig11":
-		return []*Table{Fig11a(scale), Fig11b(scale)}, nil
-	case "fig12":
-		return []*Table{Fig12(scale)}, nil
-	case "fig13":
-		return []*Table{Fig13a(scale), Fig13b(scale)}, nil
-	case "fig14":
-		return []*Table{Fig14(scale)}, nil
-	case "fig15":
-		return []*Table{Fig15a(scale), Fig15b(scale)}, nil
-	case "fig16":
-		return []*Table{Fig16(scale)}, nil
-	case "fig17":
-		return []*Table{Fig17(scale)}, nil
-	case "fig18":
-		return []*Table{Fig18(scale)}, nil
-	case "fig19":
-		return []*Table{Fig19(scale)}, nil
-	case "fig20":
-		return []*Table{Fig20(scale)}, nil
-	case "fig21":
-		return []*Table{Fig21(scale)}, nil
-	case "fig22":
-		return []*Table{Fig22()}, nil
-	case "fig23":
-		return []*Table{Fig23()}, nil
-	case "predictor":
-		return []*Table{PredictorAccuracy()}, nil
-	case "gcablation":
-		return []*Table{GCAblation(scale)}, nil
-	case "figec":
-		return []*Table{FigECWith(scale, opt)}, nil
-	case "figmr":
-		return []*Table{FigMR(scale, opt)}, nil
-	case "figrl":
-		return []*Table{FigRL(scale, opt)}, nil
-	case "figsc":
-		return []*Table{FigSC(scale, opt)}, nil
-	case "figslo":
-		return []*Table{FigSLO(scale, opt)}, nil
-	case "figra":
-		return []*Table{FigRA(scale, opt)}, nil
-	case "figsh":
-		return []*Table{FigSH(scale, opt)}, nil
+	for _, e := range registry {
+		if e.id == id {
+			return e.run(scale, opt), nil
+		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 }

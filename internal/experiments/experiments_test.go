@@ -133,13 +133,19 @@ func TestPredictorAccuracyTable(t *testing.T) {
 }
 
 func TestByIDAll(t *testing.T) {
-	// Every listed id must resolve; run the cheap ones.
-	for _, id := range All() {
-		switch id {
+	// Registry ids must be unique, or ByID would shadow the later entry;
+	// run the cheap ones.
+	seen := make(map[string]bool)
+	for _, e := range registry {
+		if seen[e.id] {
+			t.Errorf("duplicate registry id %q", e.id)
+		}
+		seen[e.id] = true
+		switch e.id {
 		case "table2", "fig22", "fig23", "predictor":
-			tables, err := ByID(id, tiny)
+			tables, err := ByID(e.id, tiny)
 			if err != nil || len(tables) == 0 {
-				t.Errorf("ByID(%q) = %v", id, err)
+				t.Errorf("ByID(%q) = %v", e.id, err)
 			}
 		}
 	}
