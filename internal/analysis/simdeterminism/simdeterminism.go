@@ -71,7 +71,7 @@ type sink int
 
 const (
 	sinkNone     sink = 0
-	sinkSchedule sink = 1 << iota // Engine.At/After/AtNamed/AfterNamed/SetTick
+	sinkSchedule sink = 1 << iota // Engine.At/After/AtNamed/AfterNamed/AtHandler/AfterHandler/SetTick
 	sinkExported                  // write to an exported field (Result and friends)
 	sinkObserver                  // call into internal/trace or internal/stats
 	sinkRandom                    // sim.RNG or math/rand draw
@@ -243,7 +243,7 @@ func (c *checker) directSink(n ast.Node) sink {
 	switch n := n.(type) {
 	case *ast.CallExpr:
 		switch analysis.EngineMethod(info, n) {
-		case "At", "After", "AtNamed", "AfterNamed", "SetTick":
+		case "At", "After", "AtNamed", "AfterNamed", "AtHandler", "AfterHandler", "SetTick":
 			return sinkSchedule
 		}
 		fn := analysis.Callee(info, n)

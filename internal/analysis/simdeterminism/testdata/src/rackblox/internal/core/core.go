@@ -23,6 +23,13 @@ func schedulesInMapOrder(eng *sim.Engine, m map[int]sim.Time) {
 	}
 }
 
+// The typed-handler form schedules just the same.
+func schedulesHandlersInMapOrder(eng *sim.Engine, l sim.Label, m map[int]sim.Handler) {
+	for _, h := range m { // want "map iteration order .* schedules engine events"
+		eng.AfterHandler(1, l, h)
+	}
+}
+
 func writesResultInMapOrder(res *Result, m map[int]int64) {
 	for _, v := range m { // want "map iteration order .* writes exported result state"
 		res.Total = res.Total*31 + v

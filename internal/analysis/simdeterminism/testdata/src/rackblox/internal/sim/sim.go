@@ -10,6 +10,12 @@ type Time int64
 // EventFunc is an event handler.
 type EventFunc func(now Time)
 
+// Handler is a typed event handler.
+type Handler interface{ Fire(now Time) }
+
+// Label is an interned handler label.
+type Label struct{ slot int32 }
+
 // Engine is the fixture engine.
 type Engine struct {
 	now Time
@@ -30,6 +36,12 @@ func (e *Engine) AtNamed(t Time, label string, fn EventFunc) { _, _ = label, fn 
 func (e *Engine) After(d Time, fn EventFunc) { e.AfterNamed(d, "", fn) }
 
 func (e *Engine) AfterNamed(d Time, label string, fn EventFunc) { _, _ = label, fn }
+
+func (e *Engine) Intern(label string) Label { _ = label; return Label{1} }
+
+func (e *Engine) AtHandler(t Time, l Label, h Handler) { _, _ = l, h }
+
+func (e *Engine) AfterHandler(d Time, l Label, h Handler) { e.AtHandler(e.now+d, l, h) }
 
 func (e *Engine) SetTick(interval Time, fn func(at Time)) { _ = fn }
 

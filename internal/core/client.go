@@ -6,6 +6,7 @@ import (
 	"rackblox/internal/stats"
 	"rackblox/internal/switchsim"
 	"rackblox/internal/trace"
+	"rackblox/internal/workload"
 )
 
 // startClients schedules the first request of every pair. Each pair's
@@ -15,12 +16,10 @@ import (
 // load (Fig. 21 runs YCSB on both group members).
 func (r *Rack) startClients() {
 	for _, g := range r.groups {
-		g := g
-		r.eng.AfterNamed(g.gen.NextGap(), "client.issue_ec", func(sim.Time) { r.issueEC(g) })
+		r.eng.AfterHandler(g.gen.NextGap(), r.lbl.issueEC, g)
 	}
 	for i, pr := range r.pairs {
-		pr := pr
-		r.eng.AfterNamed(pr.gen.NextGap(), "client.issue", func(sim.Time) { r.issue(pr) })
+		r.eng.AfterHandler(pr.gen.NextGap(), r.lbl.issue, pr)
 		if r.cfg.SoftwareIsolated {
 			for j, inst := range []*instance{pr.primary, pr.replica} {
 				inst := inst
@@ -62,13 +61,18 @@ func (r *Rack) peerLoad(inst *instance, z *sim.Zipf, rng *sim.RNG) {
 func (r *Rack) issue(pr *pair) {
 	now := r.eng.Now()
 	if now < r.stopIssuing {
-		r.eng.AfterNamed(pr.gen.NextGap(), "client.issue", func(sim.Time) { r.issue(pr) })
+		r.eng.AfterHandler(pr.gen.NextGap(), r.lbl.issue, pr)
 	}
 	if r.cfg.MaxClientInflight > 0 && pr.inflight >= r.cfg.MaxClientInflight {
 		return
 	}
+	r.send(pr, pr.gen.Next())
+}
 
-	op := pr.gen.Next()
+// send issues one request of pair pr: its request state, the client
+// loss detector, and the client -> ToR hop.
+func (r *Rack) send(pr *pair, op workload.Op) {
+	now := r.eng.Now()
 	r.seq++
 	st := &reqState{
 		seq:       r.seq,
@@ -144,7 +148,7 @@ func (r *Rack) clientSend(pkt packet.Packet, tor *switchsim.Switch) {
 		hop += r.cluster.spine.MeterForegroundTraced(r.cluster.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
 	}
 	pkt.AddLatency(hop)
-	r.eng.AfterNamed(hop, "net.client_send", func(sim.Time) { tor.Process(pkt) })
+	r.sendHop(hop, r.lbl.clientSend, hopEvent{to: atToR, tor: tor, pkt: pkt})
 }
 
 // forwarderFor builds the delivery path out of one rack's ToR: packets
@@ -173,46 +177,48 @@ func (r *Rack) deliverFromTor(torRack int, pkt packet.Packet) {
 		hop += r.cluster.spine.MeterForegroundTraced(r.cluster.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
 	}
 	pkt.AddLatency(hop)
-	r.eng.AfterNamed(hop, "net.deliver", func(sim.Time) {
-		if pkt.DstIP == r.clientIP {
-			r.clientReceive(pkt)
+	r.sendHop(hop, r.lbl.deliver, hopEvent{to: fromToR, srv: dstSrv, torRack: torRack, dstRack: dstRack, pkt: pkt})
+}
+
+// arrive lands a packet that left the ToR of rack torRack at its
+// destination: the client, server dstSrv in rack dstRack, or the
+// controller.
+func (r *Rack) arrive(torRack, dstRack int, dstSrv *server, pkt packet.Packet) {
+	if pkt.DstIP == r.clientIP {
+		r.clientReceive(pkt)
+		return
+	}
+	if dstSrv != nil {
+		if dstRack != torRack && r.cluster.torFailed[dstRack] {
+			return // cross-rack delivery dead-ends at the failed ToR
+		}
+		// RackBlox (Software) redirection happens here, at the server
+		// boundary rather than in the switch.
+		if pkt.Op == packet.OpRead && r.cfg.System == RackBloxSoftware && r.softwareRedirect(dstSrv, pkt) {
+			r.swRedirects++
 			return
 		}
-		if dstSrv != nil {
-			if dstRack != torRack && r.cluster.torFailed[dstRack] {
-				return // cross-rack delivery dead-ends at the failed ToR
-			}
-			// RackBlox (Software) redirection happens here, at the
-			// server boundary rather than in the switch.
-			if pkt.Op == packet.OpRead && r.cfg.System == RackBloxSoftware {
-				if fwd, ok := r.softwareRedirect(dstSrv, pkt); ok {
-					r.swRedirects++
-					_ = fwd
-					return
-				}
-			}
-			dstSrv.receive(pkt)
-			return
-		}
-		if r.controller != nil && pkt.DstIP == r.controller.ip {
-			r.controller.receive(pkt)
-		}
-	})
+		dstSrv.receive(pkt)
+		return
+	}
+	if r.controller != nil && pkt.DstIP == r.controller.ip {
+		r.controller.receive(pkt)
+	}
 }
 
 // softwareRedirect implements RackBlox (Software)'s server-side read
 // redirection: if the target vSSD is collecting and the server's cached
 // controller hint says the replica is idle, the server forwards the read
 // to the replica server itself — an extra 2-hop trip the hardware design
-// avoids.
-func (r *Rack) softwareRedirect(s *server, pkt packet.Packet) (packet.Packet, bool) {
+// avoids. It reports whether it forwarded the read.
+func (r *Rack) softwareRedirect(s *server, pkt packet.Packet) bool {
 	inst, ok := s.insts[pkt.VSSD]
 	if !ok || !inst.v.InGC(r.eng.Now()) || !inst.replicaIdleHint {
-		return pkt, false
+		return false
 	}
 	rep := r.insts[inst.replicaID]
 	if rep == nil || rep.v.InGC(r.eng.Now()) {
-		return pkt, false
+		return false
 	}
 	fwd := pkt
 	fwd.VSSD = rep.id
@@ -221,8 +227,8 @@ func (r *Rack) softwareRedirect(s *server, pkt packet.Packet) (packet.Packet, bo
 	// cost, plus the forwarding server's processing.
 	delay := serverProcTime + r.net.PathLatency(r.eng.Now(), 2)
 	fwd.AddLatency(delay)
-	r.eng.AfterNamed(delay, "client.sw_redirect", func(sim.Time) { rep.server.receive(fwd) })
-	return fwd, true
+	r.sendHop(delay, r.eng.Intern("client.sw_redirect"), hopEvent{to: atNIC, srv: rep.server, pkt: fwd})
+	return true
 }
 
 // bounceRead returns a read to the coordination layer after its target
@@ -246,18 +252,17 @@ func (r *Rack) bounceRead(inst *instance, st *reqState) {
 			fwd.VSSD = rep.id
 			fwd.DstIP = rep.server.ip
 			delay := serverProcTime + r.net.PathLatency(r.eng.Now(), 2)
-			r.eng.AfterNamed(delay, "client.sw_redirect", func(sim.Time) { rep.server.receive(fwd) })
+			r.sendHop(delay, r.eng.Intern("client.sw_redirect"), hopEvent{to: atNIC, srv: rep.server, pkt: fwd})
 			r.swRedirects++
 			return
 		}
 		// No usable replica: serve in place after all.
-		r.eng.AfterNamed(serverProcTime, "client.bounce", func(sim.Time) { inst.server.receive(pkt) })
+		r.sendHop(serverProcTime, r.eng.Intern("client.bounce"), hopEvent{to: atNIC, srv: inst.server, pkt: pkt})
 		return
 	}
 	hop := r.net.HopLatency(r.eng.Now())
 	pkt.AddLatency(hop)
-	tor := r.torOf(inst.server)
-	r.eng.AfterNamed(hop, "client.bounce", func(sim.Time) { tor.Process(pkt) })
+	r.sendHop(hop, r.eng.Intern("client.bounce"), hopEvent{to: atToR, tor: r.torOf(inst.server), pkt: pkt})
 }
 
 // respond sends the completion back to the client through the switch.
@@ -273,8 +278,7 @@ func (r *Rack) respond(st *reqState, inst *instance) {
 	}
 	hop := r.net.HopLatency(r.eng.Now())
 	pkt.AddLatency(hop)
-	tor := r.torOf(inst.server)
-	r.eng.AfterNamed(hop, "net.respond", func(sim.Time) { tor.Process(pkt) })
+	r.sendHop(hop, r.lbl.respond, hopEvent{to: atToR, tor: r.torOf(inst.server), pkt: pkt})
 }
 
 // clientReceive records the completed request. Erasure-coded writes fan

@@ -116,7 +116,7 @@ func (c *Cluster) handoff(pkt packet.Packet, rack int) {
 	}
 	delay := c.spine.Propagation() + c.spine.MeterForegroundTraced(c.spine.FrameBytes(pkt), sp)
 	pkt.AddLatency(delay)
-	c.rack.eng.AfterNamed(delay, "net.handoff", func(sim.Time) { c.tors[rack].Process(pkt) })
+	c.rack.sendHop(delay, c.rack.eng.Intern("net.handoff"), hopEvent{to: atToR, tor: c.tors[rack], pkt: pkt})
 }
 
 // failToR takes one rack's ToR down at the injection instant.

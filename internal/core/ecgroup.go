@@ -34,6 +34,7 @@ const (
 // zero-spine single-loss repair and per-rack aggregated multi-loss
 // repair.
 type ecGroup struct {
+	rack    *Rack
 	idx     int
 	spec    ec.Spec
 	striper ec.Striper
@@ -156,6 +157,7 @@ func (r *Rack) buildGroups() error {
 
 	for gidx := 0; gidx < cfg.VSSDPairs; gidx++ {
 		g := &ecGroup{
+			rack:        r,
 			idx:         gidx,
 			spec:        spec,
 			striper:     ec.Striper{Spec: spec},
@@ -414,7 +416,7 @@ func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, boo
 func (r *Rack) issueEC(g *ecGroup) {
 	now := r.eng.Now()
 	if now < r.stopIssuing {
-		r.eng.AfterNamed(g.gen.NextGap(), "client.issue_ec", func(sim.Time) { r.issueEC(g) })
+		r.eng.AfterHandler(g.gen.NextGap(), r.lbl.issueEC, g)
 	}
 	if r.cfg.MaxClientInflight > 0 && g.inflight >= r.cfg.MaxClientInflight {
 		return
@@ -593,7 +595,7 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 				// device read on the source's first channel.
 				addr = flash.Addr{Channel: src.v.Channels()[0]}
 			}
-			src.server.dev.TimeRead(addr, func(_, _ sim.Time) {
+			src.server.dev.TimeRead(addr, sim.EventFunc(func(sim.Time) {
 				if src == inst {
 					finish()
 					return
@@ -622,7 +624,7 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 				}
 				back := r.net.PathLatency(r.eng.Now(), 2)
 				r.eng.AfterNamed(back, "ec.chunk_back", func(sim.Time) { finish() })
-			})
+			}))
 		}
 		if src == inst {
 			readChunk(now)

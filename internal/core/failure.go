@@ -421,33 +421,36 @@ func (r *Rack) watchTimeout(seq uint64) {
 	if !r.anyFailure {
 		return // no failure in the timeline; avoid per-request timer overhead
 	}
-	r.eng.AfterNamed(clientTimeout, "client.timeout", func(sim.Time) {
-		st, ok := r.reqs[seq]
-		if !ok {
-			return // completed
-		}
-		delete(r.reqs, seq)
-		if st.group != nil && st.retries < maxECRetries {
-			st.retries++
-			r.ecRetransmits++
-			r.seq++
-			st.seq = r.seq
-			st.ecPending = 0
-			st.arrival, st.dispatched, st.deviceDone = 0, 0, 0
-			st.bounced, st.redirected = false, false
-			// The new attempt re-anchors the span's phase partition: time
-			// up to here becomes the retransmit phase.
-			st.lastIssue = r.eng.Now()
-			st.span.Annotate(trace.Int("retry", int64(st.retries)))
-			r.reqs[st.seq] = st
-			r.watchTimeout(st.seq)
-			r.sendEC(st)
-			return
-		}
-		st.decInflight()
-		r.lostRequests++
-		if !st.write {
-			r.lostReads++
-		}
-	})
+	r.eng.AfterHandler(clientTimeout, r.lbl.timeout, r.newIO(ioStep{kind: ioTimeout, seq: seq}))
+}
+
+// timeout runs a request's client loss detector.
+func (r *Rack) timeout(seq uint64) {
+	st, ok := r.reqs[seq]
+	if !ok {
+		return // completed
+	}
+	delete(r.reqs, seq)
+	if st.group != nil && st.retries < maxECRetries {
+		st.retries++
+		r.ecRetransmits++
+		r.seq++
+		st.seq = r.seq
+		st.ecPending = 0
+		st.arrival, st.dispatched, st.deviceDone = 0, 0, 0
+		st.bounced, st.redirected = false, false
+		// The new attempt re-anchors the span's phase partition: time
+		// up to here becomes the retransmit phase.
+		st.lastIssue = r.eng.Now()
+		st.span.Annotate(trace.Int("retry", int64(st.retries)))
+		r.reqs[st.seq] = st
+		r.watchTimeout(st.seq)
+		r.sendEC(st)
+		return
+	}
+	st.decInflight()
+	r.lostRequests++
+	if !st.write {
+		r.lostReads++
+	}
 }

@@ -11,10 +11,9 @@ import (
 // RNG draws — and therefore the whole simulation — stay deterministic.
 func (r *Rack) startGCMonitors() {
 	for _, inst := range r.allInstances() {
-		inst := inst
 		// Stagger first checks so instances do not phase-lock.
 		offset := sim.Time(r.rng.Int63n(int64(r.cfg.GCCheckInterval) + 1))
-		r.eng.AfterNamed(offset, "gc.monitor", func(sim.Time) { r.monitorGC(inst) })
+		r.eng.AfterHandler(offset, r.lbl.gcMonitor, (*gcMonitor)(inst))
 	}
 }
 
@@ -25,7 +24,7 @@ func (r *Rack) monitorGC(inst *instance) {
 	}
 	now := r.eng.Now()
 	if now < r.stopIssuing {
-		r.eng.AfterNamed(r.cfg.GCCheckInterval, "gc.monitor", func(sim.Time) { r.monitorGC(inst) })
+		r.eng.AfterHandler(r.cfg.GCCheckInterval, r.lbl.gcMonitor, (*gcMonitor)(inst))
 	}
 	if inst.v.InGC(now) || inst.gcRequestInFlight {
 		return
@@ -113,8 +112,7 @@ func (r *Rack) sendGCOp(inst *instance, gcType packet.GCField, attempt int) {
 		Port:  packet.ReservedPort,
 	}
 	hop := r.net.HopLatency(r.eng.Now())
-	tor := r.torOf(inst.server)
-	r.eng.AfterNamed(hop, "gc.op", func(sim.Time) { tor.Process(pkt) })
+	r.sendHop(hop, r.eng.Intern("gc.op"), hopEvent{to: atToR, tor: r.torOf(inst.server), pkt: pkt})
 	r.eng.AfterNamed(hop+gcReplyTimeout, "gc.op_timeout", func(sim.Time) {
 		if !inst.gcRequestInFlight || inst.gcRetries != epoch {
 			return // reply arrived
@@ -143,8 +141,7 @@ func (r *Rack) notifySwitchGC(inst *instance, gcType packet.GCField) {
 		Port:  packet.ReservedPort,
 	}
 	hop := r.net.HopLatency(r.eng.Now())
-	tor := r.torOf(inst.server)
-	r.eng.AfterNamed(hop, "gc.notify", func(sim.Time) { tor.Process(pkt) })
+	r.sendHop(hop, r.eng.Intern("gc.notify"), hopEvent{to: atToR, tor: r.torOf(inst.server), pkt: pkt})
 }
 
 // handleGCReply processes the switch's accept/delay answer.

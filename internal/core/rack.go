@@ -72,6 +72,7 @@ type instance struct {
 
 // pair is a primary+replica vSSD pair with its client-side generator.
 type pair struct {
+	rack     *Rack
 	idx      int
 	primary  *instance
 	replica  *instance
@@ -137,9 +138,16 @@ type Rack struct {
 	// datapath of every rack, the spine boundary, and the scenario
 	// driver. The parallel per-rack shards exist only in the separate
 	// soak model (shardsim.go).
-	eng     *sim.Engine
-	net     *netsim.Network
-	cluster *Cluster
+	eng *sim.Engine
+	// lbl holds the hot-path event labels; freeHops, freeIO and
+	// freeReqs recycle the packet and server-step events in flight and
+	// the server queue entries (events.go).
+	lbl      labels
+	freeHops *hopEvent
+	freeIO   *ioStep
+	freeReqs []*sched.Request
+	net      *netsim.Network
+	cluster  *Cluster
 	// sw aliases the first rack's ToR for the single-rack call sites and
 	// tests; multi-rack paths go through torOf/cluster.
 	sw      *switchsim.Switch
@@ -237,6 +245,7 @@ func NewRack(cfg Config) (*Rack, error) {
 		rng:      sim.NewRNG(cfg.Seed),
 		clientIP: packet.IP4(10, 0, 0, 1),
 	}
+	r.lbl = internLabels(r.eng)
 	r.net = netsim.New(cfg.Net, r.rng.Fork(100))
 	r.cluster = newCluster(r)
 	r.sw = r.cluster.tors[0]
@@ -361,7 +370,7 @@ func (r *Rack) buildPairs() error {
 		pri.repl = replication.NewNode(0, peers, r.hermesTransport(pri, rep))
 		rep.repl = replication.NewNode(1, peers, r.hermesTransport(pri, rep))
 
-		pr := &pair{idx: p, primary: pri, replica: rep}
+		pr := &pair{rack: r, idx: p, primary: pri, replica: rep}
 		pr.gen = r.newGenerator(p, pri)
 		r.pairs = append(r.pairs, pr)
 
@@ -478,18 +487,21 @@ func (r *Rack) hermesTransport(pri, rep *instance) replication.Transport {
 			delay += r.cluster.spine.MeterForeground(
 				r.cluster.spine.MessageBytes(msg.Type == replication.MsgInv))
 		}
-		r.eng.AfterNamed(delay, "hermes.msg", func(sim.Time) {
-			if !dst.server.reachable() {
-				return // messages to a crashed or isolated server are lost
-			}
-			if msg.Type == replication.MsgInv {
-				// The invalidation carries the write: the follower caches
-				// it for background flush.
-				dst.server.applyReplicaWrite(dst, msg.LPN)
-			}
-			dst.repl.Handle(msg)
-		})
+		r.eng.AfterHandler(delay, r.lbl.hermes, r.newIO(ioStep{kind: ioHermes, inst: dst, msg: msg}))
 	}
+}
+
+// deliverHermes lands a replication message at its destination instance.
+func (r *Rack) deliverHermes(dst *instance, msg replication.Message) {
+	if !dst.server.reachable() {
+		return // messages to a crashed or isolated server are lost
+	}
+	if msg.Type == replication.MsgInv {
+		// The invalidation carries the write: the follower caches it for
+		// background flush.
+		dst.server.applyReplicaWrite(dst, msg.LPN)
+	}
+	dst.repl.Handle(msg)
 }
 
 // newGenerator builds the pair's workload generator sized to the primary's

@@ -65,7 +65,8 @@ func (s *server) receive(pkt packet.Packet) {
 		inst.pred.Observe(pkt.Op == packet.OpWrite, sim.Time(pkt.LatencyNS()))
 		inst.idle.OnRequest(now)
 
-		req := &sched.Request{
+		req := s.rack.newRequest()
+		*req = sched.Request{
 			Seq:     pkt.Seq,
 			Write:   pkt.Op == packet.OpWrite,
 			Arrival: now,
@@ -76,7 +77,7 @@ func (s *server) receive(pkt packet.Packet) {
 			req.Predict = inst.pred.Predict(req.Write)
 		}
 		inst.queue.Enqueue(req)
-		s.rack.eng.AfterNamed(serverProcTime, "server.pump", func(sim.Time) { s.pump(inst) })
+		s.rack.eng.AfterHandler(serverProcTime, s.rack.lbl.pump, (*pumpEvent)(inst))
 	case packet.OpGC:
 		// Reply from the ToR switch to an earlier gc_op.
 		s.rack.handleGCReply(inst, pkt)
@@ -158,6 +159,7 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 	now := r.eng.Now()
 	st := r.reqs[req.Seq]
 	if st == nil {
+		r.freeRequest(req)
 		s.cancelRead(inst)
 		return
 	}
@@ -187,6 +189,7 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 		st.dispatched = 0 // queue accounting restarts at the new server
 		inst.inflight--
 		r.bounces++
+		r.freeRequest(req)
 		r.bounceRead(inst, st)
 		s.pump(inst)
 		return
@@ -197,31 +200,35 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 	// Erasure-coded chunk holders (no Hermes node) always serve.
 	if inst.repl != nil && !inst.repl.CanRead(lpn) && attempt < 3 {
 		r.staleRetries++
-		r.eng.AfterNamed(hermesRetryGap, "server.stale_retry", func(sim.Time) { s.startRead(inst, req, attempt+1) })
+		r.eng.AfterHandler(hermesRetryGap, r.lbl.staleRetry,
+			r.newIO(ioStep{kind: ioRetry, inst: inst, req: req, attempt: attempt + 1}))
 		return
 	}
 
 	if inst.cache.Contains(inst.id, lpn) {
 		r.cacheHits++
-		r.eng.AfterNamed(cacheHitTime, "server.cache_hit", func(sim.Time) { s.completeRead(inst, req) })
+		r.eng.AfterHandler(cacheHitTime, r.lbl.cacheHit, r.newIO(ioStep{kind: ioReadDone, inst: inst, req: req}))
 		return
 	}
 	// Software-isolated vSSDs pass the token-bucket limiter first.
-	admitAt := inst.v.Admit(now)
-	issue := func(sim.Time) {
-		addr, err := inst.v.FTL.Read(int(lpn))
-		if err != nil {
-			// Reads outside the preconditioned range still cost one
-			// device read on the vSSD's first channel.
-			addr = flash.Addr{Channel: inst.v.Channels()[0]}
-		}
-		s.dev.TimeRead(addr, func(_, _ sim.Time) { s.completeRead(inst, req) })
+	if admitAt := inst.v.Admit(now); admitAt > now {
+		r.eng.AtHandler(admitAt, r.lbl.admit, r.newIO(ioStep{kind: ioAdmit, inst: inst, req: req, lpn: lpn}))
+		return
 	}
-	if admitAt > now {
-		r.eng.AtNamed(admitAt, "server.admit", issue)
-	} else {
-		issue(now)
+	s.readDevice(inst, req, lpn)
+}
+
+// readDevice issues an admitted read of lpn as a flash page read on the
+// owning channel; completeRead runs when the channel has served it.
+func (s *server) readDevice(inst *instance, req *sched.Request, lpn uint32) {
+	r := s.rack
+	addr, err := inst.v.FTL.Read(int(lpn))
+	if err != nil {
+		// Reads outside the preconditioned range still cost one device
+		// read on the vSSD's first channel.
+		addr = flash.Addr{Channel: inst.v.Channels()[0]}
 	}
+	s.dev.TimeRead(addr, r.newIO(ioStep{kind: ioReadDone, inst: inst, req: req}))
 }
 
 func (s *server) completeRead(inst *instance, req *sched.Request) {
@@ -231,6 +238,7 @@ func (s *server) completeRead(inst *instance, req *sched.Request) {
 	if st == nil {
 		// Timed out and (for EC) retransmitted while the device worked;
 		// the flash time was spent, but nobody is waiting for the reply.
+		r.freeRequest(req)
 		s.cancelRead(inst)
 		return
 	}
@@ -242,6 +250,7 @@ func (s *server) completeRead(inst *instance, req *sched.Request) {
 	if r.cfg.coordinated() {
 		lat += req.NetTime + req.Predict
 	}
+	r.freeRequest(req)
 	inst.queue.OnComplete(false, lat)
 	inst.inflight--
 	r.respond(st, inst)
@@ -253,7 +262,9 @@ func (s *server) completeRead(inst *instance, req *sched.Request) {
 func (s *server) startWrite(inst *instance, req *sched.Request) {
 	r := s.rack
 	now := r.eng.Now()
-	st := r.reqs[req.Seq]
+	seq := req.Seq
+	r.freeRequest(req) // a write needs only its sequence number from here
+	st := r.reqs[seq]
 	if st == nil {
 		// Timed out (and for EC retransmitted) before dispatch: return
 		// the scheduler token and drop the dead attempt.
@@ -271,40 +282,47 @@ func (s *server) startWrite(inst *instance, req *sched.Request) {
 	// seq pins this attempt: an EC retransmission reissues the logical
 	// request under a fresh sequence number, so a stale attempt's
 	// completion must not respond against the new one.
-	seq := req.Seq
-	r.eng.AfterNamed(cacheInsertTime, "server.cache_insert", func(sim.Time) {
-		if r.reqs[seq] != st {
-			s.flushPump(inst)
-			s.pump(inst)
-			return // attempt superseded by a client retransmission
-		}
-		if inst.repl == nil {
-			// Erasure-coded chunk holder: durability comes from the
-			// stripe's parity chunks (the client fans the write out to
-			// all of them), so each sub-write commits locally.
-			done := r.eng.Now()
-			if done > st.deviceDone {
-				st.deviceDone = done
-			}
-			r.respond(st, inst)
-			s.flushPump(inst)
-			s.pump(inst)
-			return
-		}
-		inst.repl.Write(st.lpn, func() {
-			if r.reqs[seq] != st {
-				s.flushPump(inst)
-				s.pump(inst)
-				return
-			}
-			done := r.eng.Now()
-			st.deviceDone = done
-			r.respond(st, inst)
-			s.flushPump(inst)
-			s.pump(inst)
-		})
-	})
+	r.eng.AfterHandler(cacheInsertTime, r.lbl.cacheInsert,
+		r.newIO(ioStep{kind: ioInserted, inst: inst, st: st, seq: seq}))
 	s.flushPump(inst)
+}
+
+// writeInserted runs when a write's DRAM insert completes: an
+// erasure-coded sub-write commits locally, a replicated write starts
+// its Hermes round.
+func (s *server) writeInserted(inst *instance, st *reqState, seq uint64) {
+	r := s.rack
+	if r.reqs[seq] != st {
+		s.flushPump(inst)
+		s.pump(inst)
+		return // attempt superseded by a client retransmission
+	}
+	if inst.repl == nil {
+		// Erasure-coded chunk holder: durability comes from the stripe's
+		// parity chunks (the client fans the write out to all of them),
+		// so each sub-write commits locally.
+		done := r.eng.Now()
+		if done > st.deviceDone {
+			st.deviceDone = done
+		}
+		r.respond(st, inst)
+		s.flushPump(inst)
+		s.pump(inst)
+		return
+	}
+	inst.repl.Write(st.lpn, r.newIO(ioStep{kind: ioCommitted, inst: inst, st: st, seq: seq}))
+}
+
+// writeCommitted runs when Hermes commits a replicated write (or
+// supersedes or releases it).
+func (s *server) writeCommitted(inst *instance, st *reqState, seq uint64) {
+	r := s.rack
+	if r.reqs[seq] == st {
+		st.deviceDone = r.eng.Now()
+		r.respond(st, inst)
+	}
+	s.flushPump(inst)
+	s.pump(inst)
 }
 
 // applyReplicaWrite caches a write arriving via Hermes invalidation at the
@@ -355,11 +373,14 @@ func (s *server) flushPump(inst *instance) {
 			}
 		}
 		inst.flushInflight++
-		s.dev.TimeProgram(addr, func(_, _ sim.Time) {
-			inst.flushInflight--
-			inst.cache.FlushDone()
-			s.drainStalled(inst)
-			s.flushPump(inst)
-		})
+		s.dev.TimeProgram(addr, (*flushDone)(inst))
 	}
+}
+
+// flushDone completes one background flash program of inst's cache.
+func (s *server) flushDone(inst *instance) {
+	inst.flushInflight--
+	inst.cache.FlushDone()
+	s.drainStalled(inst)
+	s.flushPump(inst)
 }

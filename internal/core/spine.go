@@ -39,6 +39,34 @@ type Spine struct {
 	// offered split as for repair bytes.
 	foregroundBytes   int64
 	foregroundOffered int64
+	// inflight holds the spine's own transfers (repair and foreground)
+	// oldest first; the serial link completes them in that order, each
+	// through spineDone.
+	inflight sim.FIFO[spineXfer]
+}
+
+// spineXfer is one transfer the spine put on its link.
+type spineXfer struct {
+	bytes  int64
+	repair bool
+	done   func(sim.Time) // repair only; may be nil
+}
+
+// spineDone is the spine's transfer-completion event.
+type spineDone Spine
+
+// Fire credits the oldest spine transfer's bytes as delivered.
+func (d *spineDone) Fire(now sim.Time) {
+	s := (*Spine)(d)
+	x := s.inflight.Pop()
+	if !x.repair {
+		s.foregroundBytes += x.bytes
+		return
+	}
+	s.crossRepairBytes += x.bytes
+	if x.done != nil {
+		x.done(now)
+	}
 }
 
 // newSpine builds the cross-rack boundary for a topology of racks fault
@@ -113,7 +141,8 @@ func (s *Spine) MeterForegroundTraced(bytes int64, sp *trace.Span) sim.Time {
 		return 0
 	}
 	s.foregroundOffered += bytes
-	start, end := s.link.Transfer(bytes, func(_, _ sim.Time) { s.foregroundBytes += bytes })
+	s.inflight.Push(spineXfer{bytes: bytes})
+	start, end := s.link.Transfer(bytes, (*spineDone)(s))
 	if sp != nil {
 		if now := s.eng.Now(); start > now {
 			sp.Child("spine_wait", now).EndAt(start)
@@ -134,12 +163,8 @@ func (s *Spine) MeterForegroundTraced(bytes int64, sp *trace.Span) sim.Time {
 func (s *Spine) CrossFetch(bytes int64, done func(sim.Time)) (start, end sim.Time) {
 	s.crossRepairOffered += bytes
 	s.crossFetches++
-	return s.link.Transfer(bytes, func(_, e sim.Time) {
-		s.crossRepairBytes += bytes
-		if done != nil {
-			done(e)
-		}
-	})
+	s.inflight.Push(spineXfer{bytes: bytes, repair: true, done: done})
+	return s.link.Transfer(bytes, (*spineDone)(s))
 }
 
 // Utilization returns the cross-rack link's busy fraction (0 with a

@@ -91,15 +91,43 @@ type Message struct {
 // it and charges network latency.
 type Transport func(msg Message)
 
+// OnCommit is notified exactly once per coordinator write: when the
+// write commits, is superseded by a newer write to its key, or is
+// released by Rejoin.
+type OnCommit interface {
+	Committed()
+}
+
+// CommitFunc adapts a plain function to OnCommit.
+type CommitFunc func()
+
+// Committed calls f.
+func (f CommitFunc) Committed() { f() }
+
+// keyState is a key's replica state; the zero value (Valid, zero
+// timestamp) is an unwritten key, so keys are only stored once written.
 type keyState struct {
 	st State
 	ts Timestamp
 }
 
 type pendingWrite struct {
-	ts       Timestamp
-	awaiting map[int]bool
-	onCommit func()
+	ts Timestamp
+	// awaiting lists the peers whose ack is outstanding.
+	awaiting []int
+	onCommit OnCommit
+}
+
+// ack removes peer from the outstanding acks, reporting whether it was
+// outstanding.
+func (pw *pendingWrite) ack(peer int) bool {
+	for i, p := range pw.awaiting {
+		if p == peer {
+			pw.awaiting = append(pw.awaiting[:i], pw.awaiting[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // Node is one replica endpoint of a group.
@@ -107,9 +135,12 @@ type Node struct {
 	id      int
 	peers   []int
 	version uint64
-	keys    map[uint32]*keyState
+	keys    map[uint32]keyState
 	pending map[uint32]*pendingWrite
-	send    Transport
+	// free recycles settled pendingWrite records (and their awaiting
+	// slices), so a steady stream of writes allocates nothing.
+	free []*pendingWrite
+	send Transport
 }
 
 // NewNode creates replica id within a fixed peer group. peers lists every
@@ -130,7 +161,7 @@ func NewNode(id int, peers []int, send Transport) *Node {
 	return &Node{
 		id:      id,
 		peers:   append([]int(nil), peers...),
-		keys:    make(map[uint32]*keyState),
+		keys:    make(map[uint32]keyState),
 		pending: make(map[uint32]*pendingWrite),
 		send:    send,
 	}
@@ -139,13 +170,32 @@ func NewNode(id int, peers []int, send Transport) *Node {
 // ID returns the node id.
 func (n *Node) ID() int { return n.id }
 
-func (n *Node) key(lpn uint32) *keyState {
-	k, ok := n.keys[lpn]
-	if !ok {
-		k = &keyState{st: Valid} // unwritten keys are trivially consistent
-		n.keys[lpn] = k
+// key returns lpn's replica state; unwritten keys are trivially
+// consistent (the zero keyState is Valid).
+func (n *Node) key(lpn uint32) keyState { return n.keys[lpn] }
+
+// newPending returns a pendingWrite, recycled when one is free.
+func (n *Node) newPending(ts Timestamp, onCommit OnCommit) *pendingWrite {
+	var pw *pendingWrite
+	if k := len(n.free); k > 0 {
+		pw = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		pw = &pendingWrite{}
 	}
-	return k
+	pw.ts, pw.awaiting, pw.onCommit = ts, pw.awaiting[:0], onCommit
+	return pw
+}
+
+// settle recycles a pendingWrite no longer reachable from n.pending and
+// notifies its callback.
+func (n *Node) settle(pw *pendingWrite) {
+	cb := pw.onCommit
+	pw.onCommit = nil
+	n.free = append(n.free, pw)
+	if cb != nil {
+		cb.Committed()
+	}
 }
 
 // CanRead reports whether this replica may serve a local read of lpn.
@@ -159,22 +209,21 @@ func (n *Node) KeyState(lpn uint32) State { return n.key(lpn).st }
 // point). A second write to the same key before commit supersedes the
 // first; the superseded write's callback fires immediately since it is
 // linearized before the newer one.
-func (n *Node) Write(lpn uint32, onCommit func()) {
+func (n *Node) Write(lpn uint32, onCommit OnCommit) {
 	n.version++
 	ts := Timestamp{Version: n.version, NodeID: n.id}
-	k := n.key(lpn)
-	k.st = Writing
-	k.ts = ts
+	n.keys[lpn] = keyState{st: Writing, ts: ts}
 
-	if prev, ok := n.pending[lpn]; ok && prev.onCommit != nil {
-		prev.onCommit()
+	if prev, ok := n.pending[lpn]; ok {
+		delete(n.pending, lpn)
+		n.settle(prev)
 	}
-	pw := &pendingWrite{ts: ts, awaiting: map[int]bool{}, onCommit: onCommit}
+	pw := n.newPending(ts, onCommit)
 	for _, p := range n.peers {
 		if p == n.id {
 			continue
 		}
-		pw.awaiting[p] = true
+		pw.awaiting = append(pw.awaiting, p)
 		n.send(Message{Type: MsgInv, From: n.id, To: p, LPN: lpn, TS: ts})
 	}
 	n.pending[lpn] = pw
@@ -185,18 +234,16 @@ func (n *Node) Write(lpn uint32, onCommit func()) {
 
 func (n *Node) commit(lpn uint32, pw *pendingWrite) {
 	delete(n.pending, lpn)
-	k := n.key(lpn)
-	if k.ts == pw.ts {
+	if k := n.key(lpn); k.ts == pw.ts {
 		k.st = Valid
+		n.keys[lpn] = k
 		for _, p := range n.peers {
 			if p != n.id {
 				n.send(Message{Type: MsgVal, From: n.id, To: p, LPN: lpn, TS: pw.ts})
 			}
 		}
 	}
-	if pw.onCommit != nil {
-		pw.onCommit()
-	}
+	n.settle(pw)
 }
 
 // AddPeer re-admits a peer after revival: future writes invalidate it
@@ -224,10 +271,10 @@ func (n *Node) Peers() []int { return append([]int(nil), n.peers...) }
 func (n *Node) Rejoin() {
 	for _, pw := range n.pending {
 		if pw.onCommit != nil {
-			pw.onCommit()
+			pw.onCommit.Committed()
 		}
 	}
-	n.keys = make(map[uint32]*keyState)
+	n.keys = make(map[uint32]keyState)
 	n.pending = make(map[uint32]*pendingWrite)
 }
 
@@ -244,8 +291,7 @@ func (n *Node) RemovePeer(dead int) {
 	}
 	n.peers = kept
 	for lpn, pw := range n.pending {
-		if pw.awaiting[dead] {
-			delete(pw.awaiting, dead)
+		if pw.ack(dead) {
 			if len(pw.awaiting) == 0 {
 				n.commit(lpn, pw)
 			}
@@ -267,8 +313,7 @@ func (n *Node) Handle(msg Message) {
 	switch msg.Type {
 	case MsgInv:
 		if k.ts.Less(msg.TS) {
-			k.st = Invalid
-			k.ts = msg.TS
+			n.keys[msg.LPN] = keyState{st: Invalid, ts: msg.TS}
 		}
 		n.send(Message{Type: MsgAck, From: n.id, To: msg.From, LPN: msg.LPN, TS: msg.TS})
 	case MsgAck:
@@ -276,13 +321,14 @@ func (n *Node) Handle(msg Message) {
 		if !ok || pw.ts != msg.TS {
 			return // ack for a superseded write
 		}
-		delete(pw.awaiting, msg.From)
+		pw.ack(msg.From)
 		if len(pw.awaiting) == 0 {
 			n.commit(msg.LPN, pw)
 		}
 	case MsgVal:
 		if k.ts == msg.TS && k.st == Invalid {
 			k.st = Valid
+			n.keys[msg.LPN] = k
 		}
 	}
 }
@@ -325,7 +371,7 @@ func (g *Group) drain() {
 // Write performs a synchronous group write coordinated by node coord.
 func (g *Group) Write(coord int, lpn uint32) {
 	committed := false
-	g.Nodes[coord].Write(lpn, func() { committed = true })
+	g.Nodes[coord].Write(lpn, CommitFunc(func() { committed = true }))
 	g.drain()
 	if !committed {
 		panic("replication: synchronous group write did not commit")

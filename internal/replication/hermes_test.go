@@ -75,7 +75,7 @@ func TestInvalidationBlocksReadsMidWrite(t *testing.T) {
 func TestCommitCallbackFiresAfterAllAcks(t *testing.T) {
 	g := NewGroup(3)
 	committed := false
-	g.Nodes[0].Write(9, func() { committed = true })
+	g.Nodes[0].Write(9, CommitFunc(func() { committed = true }))
 	if committed {
 		t.Fatal("committed before acks")
 	}
@@ -88,7 +88,7 @@ func TestCommitCallbackFiresAfterAllAcks(t *testing.T) {
 func TestSingleNodeGroupCommitsImmediately(t *testing.T) {
 	g := NewGroup(1)
 	committed := false
-	g.Nodes[0].Write(1, func() { committed = true })
+	g.Nodes[0].Write(1, CommitFunc(func() { committed = true }))
 	if !committed {
 		t.Fatal("single-replica write needs no acks")
 	}
@@ -115,10 +115,10 @@ func TestConcurrentWritersConverge(t *testing.T) {
 func TestSupersededWriteStillCommits(t *testing.T) {
 	g := NewGroup(2)
 	first := false
-	g.Nodes[0].Write(4, func() { first = true })
+	g.Nodes[0].Write(4, CommitFunc(func() { first = true }))
 	// Same coordinator writes again before the first commit.
 	second := false
-	g.Nodes[0].Write(4, func() { second = true })
+	g.Nodes[0].Write(4, CommitFunc(func() { second = true }))
 	if !first {
 		t.Fatal("superseded write's callback must fire (ordered before)")
 	}
@@ -229,7 +229,7 @@ func TestReadAvailabilityProperty(t *testing.T) {
 func TestRemovePeerCompletesPendingWrites(t *testing.T) {
 	g := NewGroup(2)
 	committed := false
-	g.Nodes[0].Write(6, func() { committed = true })
+	g.Nodes[0].Write(6, CommitFunc(func() { committed = true }))
 	// Peer dies before acking.
 	g.Nodes[0].RemovePeer(1)
 	if !committed {
@@ -238,7 +238,7 @@ func TestRemovePeerCompletesPendingWrites(t *testing.T) {
 	// Future writes commit alone, without queuing messages for the dead.
 	solo := false
 	g.queue = nil
-	g.Nodes[0].Write(7, func() { solo = true })
+	g.Nodes[0].Write(7, CommitFunc(func() { solo = true }))
 	if !solo {
 		t.Fatal("degraded write did not commit immediately")
 	}
@@ -252,7 +252,7 @@ func TestRemovePeerCompletesPendingWrites(t *testing.T) {
 func TestRemovePeerThreeNodeGroup(t *testing.T) {
 	g := NewGroup(3)
 	committed := false
-	g.Nodes[0].Write(9, func() { committed = true })
+	g.Nodes[0].Write(9, CommitFunc(func() { committed = true }))
 	g.Nodes[0].RemovePeer(2) // one of two followers dies
 	if committed {
 		t.Fatal("write committed before the live follower acked")

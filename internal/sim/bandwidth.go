@@ -14,6 +14,17 @@ type Bandwidth struct {
 	// once every reserved transfer has completed.
 	offered   int64
 	delivered int64
+	// inflight holds each reserved transfer's completion, oldest first.
+	// The link is serial, so completion times never decrease and the
+	// link's own completion event (linkDone, scheduled per transfer)
+	// always finishes the head: no per-transfer wrapper closure is needed.
+	inflight FIFO[transfer]
+}
+
+// transfer is one reserved transfer awaiting its last byte.
+type transfer struct {
+	bytes int64
+	done  Handler
 }
 
 // NewBandwidth returns an idle link moving bytesPerSec bytes per second.
@@ -45,20 +56,28 @@ func (b *Bandwidth) TransferTime(bytes int64) Time {
 	return d
 }
 
-// Transfer reserves the link for bytes and calls done(start, end) when the
-// last byte clears it; done may be nil. Waiting behind earlier transfers
-// is implicit in the returned start time.
-func (b *Bandwidth) Transfer(bytes int64, done func(start, end Time)) (start, end Time) {
+// Transfer reserves the link for bytes and schedules done (may be nil)
+// for when the last byte clears it, at end. Waiting behind earlier
+// transfers is implicit in the returned start time.
+func (b *Bandwidth) Transfer(bytes int64, done Handler) (start, end Time) {
 	b.offered += bytes
-	// Delivered bytes are counted at completion, not enqueue, so a
-	// simulation that stops mid-transfer never reports bytes the link
-	// did not actually move.
-	return b.res.Acquire(b.TransferTime(bytes), func(s, e Time) {
-		b.delivered += bytes
-		if done != nil {
-			done(s, e)
-		}
-	})
+	b.inflight.Push(transfer{bytes, done})
+	return b.res.Acquire(b.TransferTime(bytes), (*linkDone)(b))
+}
+
+// linkDone is a Bandwidth's transfer-completion event.
+type linkDone Bandwidth
+
+// Fire completes the oldest in-flight transfer. Delivered bytes are
+// counted at completion, not enqueue, so a simulation that stops
+// mid-transfer never reports bytes the link did not actually move.
+func (d *linkDone) Fire(now Time) {
+	b := (*Bandwidth)(d)
+	t := b.inflight.Pop()
+	b.delivered += t.bytes
+	if t.done != nil {
+		t.done.Fire(now)
+	}
 }
 
 // Bytes returns the bytes the link has fully delivered: transfers still

@@ -21,7 +21,7 @@ func TestBandwidthSerializesTransfers(t *testing.T) {
 	bw := NewBandwidth(eng, 1e6) // 1 MB/s => 1 byte/us
 	var ends []Time
 	for i := 0; i < 3; i++ {
-		bw.Transfer(1000, func(_, end Time) { ends = append(ends, end) })
+		bw.Transfer(1000, EventFunc(func(end Time) { ends = append(ends, end) }))
 	}
 	eng.Run()
 	// Three 1ms transfers serialize: ends at 1, 2, 3 ms.
@@ -94,7 +94,7 @@ func TestBandwidthNeverExceedsConfiguredRate(t *testing.T) {
 	bw := NewBandwidth(eng, 3) // 3 B/s: per-byte time is a repeating fraction
 	var lastEnd Time
 	for i := 0; i < 100; i++ {
-		bw.Transfer(1, func(_, end Time) { lastEnd = end })
+		bw.Transfer(1, EventFunc(func(end Time) { lastEnd = end }))
 	}
 	eng.Run()
 	if lastEnd == 0 {
@@ -131,7 +131,7 @@ func TestBandwidthRateBoundProperty(t *testing.T) {
 				continue
 			}
 			any = true
-			bw.Transfer(int64(s), func(_, end Time) { lastEnd = end })
+			bw.Transfer(int64(s), EventFunc(func(end Time) { lastEnd = end }))
 		}
 		eng.Run()
 		if !any {

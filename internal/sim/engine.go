@@ -18,8 +18,27 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
+// Handler is an event's action, run at its scheduled virtual time. Hot
+// datapath events are typed handlers — pointers to recycled event
+// structs that carry their own state — so scheduling one allocates
+// nothing; closures (EventFunc) are for cold paths.
+type Handler interface {
+	Fire(now Time)
+}
+
 // EventFunc is a callback executed at its scheduled virtual time.
 type EventFunc func(now Time)
+
+// Fire runs f. A func value is pointer-shaped, so converting an EventFunc
+// to a Handler does not allocate beyond the closure itself.
+func (f EventFunc) Fire(now Time) { f(now) }
+
+// Label is a handler label interned by Engine.Intern: a small counter
+// slot, resolved once where a handler is constructed and then reused by
+// every schedule, so the per-event cost is a slice increment instead of
+// a map lookup. The zero Label is the "other" bucket. A Label is only
+// meaningful on the engine that interned it.
+type Label struct{ slot int32 }
 
 // nilIdx is the nil value for node-pool indices.
 const nilIdx int32 = -1
@@ -28,11 +47,13 @@ const nilIdx int32 = -1
 // are addressed by index, never by pointer, so neither queue
 // implementation boxes them into interfaces (the old container/heap core
 // paid two allocations per event for exactly that) and the backing array
-// can grow without invalidating references.
+// can grow without invalidating references. The node stores the event's
+// Handler — an interface holding a pointer, never a copy of the
+// handler's state — so storing one allocates nothing.
 type node struct {
 	at  Time
 	seq uint64
-	fn  EventFunc
+	h   Handler
 	// next links the node into a wheel slot's FIFO list while queued and
 	// into the pool's free list while free.
 	next int32
@@ -41,10 +62,10 @@ type node struct {
 }
 
 // nodePool recycles event nodes through an intrusive free list. put zeroes
-// the callback and label so a drained node retains neither its closure nor
-// its string — the retention leak the old eventHeap.Pop had — and the pool
-// needs no sync.Pool (the engine is single-threaded), so it stays
-// deterministic and race-clean.
+// the handler and label so a drained node retains neither the handler nor
+// whatever it references — the retention leak the old eventHeap.Pop had —
+// and the pool needs no sync.Pool (the engine is single-threaded), so it
+// stays deterministic and race-clean.
 type nodePool struct {
 	nodes []node
 	free  int32
@@ -62,17 +83,17 @@ func (p *nodePool) get() int32 {
 
 func (p *nodePool) put(i int32) {
 	n := &p.nodes[i]
-	n.at, n.seq, n.fn, n.label = 0, 0, nil, 0
+	n.at, n.seq, n.h, n.label = 0, 0, nil, 0
 	n.next = p.free
 	p.free = i
 }
 
-// live counts pooled nodes still holding a callback — zero once every
+// live counts pooled nodes still holding a handler — zero once every
 // scheduled event has executed (leak accounting for tests).
 func (p *nodePool) live() int {
 	n := 0
 	for i := range p.nodes {
-		if p.nodes[i].fn != nil {
+		if p.nodes[i].h != nil {
 			n++
 		}
 	}
@@ -106,9 +127,9 @@ type Engine struct {
 	useHeap bool
 	// processed counts executed events, useful as a runaway guard in tests.
 	processed uint64
-	// Handler labels (AtNamed) are interned to small slots at schedule
-	// time, so the per-Step accounting is a slice increment instead of a
-	// map operation. Slot 0 is "other", the bucket for unlabeled events.
+	// Handler labels are interned to small slots (Intern), so the
+	// per-Step accounting is a slice increment instead of a map
+	// operation. Slot 0 is "other", the bucket for unlabeled events.
 	labelIdx    map[string]int32
 	labelNames  []string
 	labelCounts []uint64
@@ -150,19 +171,23 @@ func (e *Engine) ensure() {
 	}
 }
 
-// labelSlot interns a handler label, returning its counter slot.
-func (e *Engine) labelSlot(label string) int32 {
+// Intern resolves a handler label to its counter slot for the
+// ProcessedBy breakdown. Hot-path handlers call it once, where they are
+// constructed, and pass the Label to every AtHandler/AfterHandler; the
+// empty label is the "other" bucket.
+func (e *Engine) Intern(label string) Label {
 	if label == "" {
-		return 0
+		return Label{}
 	}
+	e.ensure()
 	if s, ok := e.labelIdx[label]; ok {
-		return s
+		return Label{s}
 	}
 	s := int32(len(e.labelNames))
 	e.labelIdx[label] = s
 	e.labelNames = append(e.labelNames, label)
 	e.labelCounts = append(e.labelCounts, 0)
-	return s
+	return Label{s}
 }
 
 // Now returns the current virtual time.
@@ -191,13 +216,39 @@ func (e *Engine) ProcessedBy() map[string]uint64 {
 	return out
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is a
-// programming error and panics: it would silently reorder causality.
-func (e *Engine) At(t Time, fn EventFunc) { e.AtNamed(t, "", fn) }
+// At schedules fn to run at absolute time t, counted under "other".
+// Scheduling in the past is a programming error and panics: it would
+// silently reorder causality.
+func (e *Engine) At(t Time, fn EventFunc) { e.AtHandler(t, Label{}, handlerOf(fn)) }
 
-// AtNamed is At with a handler label for the ProcessedBy breakdown.
+// AtNamed is At with a handler label for the ProcessedBy breakdown: the
+// cold-path adapter onto AtHandler, interning the label per call.
 func (e *Engine) AtNamed(t Time, label string, fn EventFunc) {
+	e.AtHandler(t, e.Intern(label), handlerOf(fn))
+}
+
+// After schedules fn to run d nanoseconds from now, counted under
+// "other". Negative d panics.
+func (e *Engine) After(d Time, fn EventFunc) { e.AfterHandler(d, Label{}, handlerOf(fn)) }
+
+// AfterNamed is After with a handler label for the ProcessedBy breakdown.
+func (e *Engine) AfterNamed(d Time, label string, fn EventFunc) {
+	e.AfterHandler(d, e.Intern(label), handlerOf(fn))
+}
+
+// handlerOf converts fn, keeping a nil func a nil Handler so AtHandler
+// rejects it.
+func handlerOf(fn EventFunc) Handler {
 	if fn == nil {
+		return nil
+	}
+	return fn
+}
+
+// AtHandler schedules h.Fire at absolute time t under label l. It is the
+// one scheduling path: At/After/AtNamed/AfterNamed adapt onto it.
+func (e *Engine) AtHandler(t Time, l Label, h Handler) {
+	if h == nil {
 		panic("sim: nil event function")
 	}
 	if t < e.now {
@@ -207,19 +258,17 @@ func (e *Engine) AtNamed(t Time, label string, fn EventFunc) {
 	e.seq++
 	i := e.pool.get()
 	n := &e.pool.nodes[i]
-	n.at, n.seq, n.fn, n.label = t, e.seq, fn, e.labelSlot(label)
+	n.at, n.seq, n.h, n.label = t, e.seq, h, l.slot
 	e.q.push(i)
 }
 
-// After schedules fn to run d nanoseconds from now. Negative d panics.
-func (e *Engine) After(d Time, fn EventFunc) { e.AfterNamed(d, "", fn) }
-
-// AfterNamed is After with a handler label for the ProcessedBy breakdown.
-func (e *Engine) AfterNamed(d Time, label string, fn EventFunc) {
+// AfterHandler schedules h.Fire d nanoseconds from now under label l.
+// Negative d panics.
+func (e *Engine) AfterHandler(d Time, l Label, h Handler) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	e.AtNamed(e.now+d, label, fn)
+	e.AtHandler(e.now+d, l, h)
 }
 
 // SetTick installs (or, with interval <= 0 or nil fn, removes) the
@@ -274,15 +323,15 @@ func (e *Engine) Step() bool {
 	}
 	i := e.q.pop()
 	n := &e.pool.nodes[i]
-	at, label, fn := n.at, n.label, n.fn
-	// Recycle before running: the freed slot holds no reference to fn, and
-	// the callback may immediately schedule new events into this node.
+	at, label, h := n.at, n.label, n.h
+	// Recycle before running: the freed slot holds no reference to h, and
+	// the handler may immediately schedule new events into this node.
 	e.pool.put(i)
 	e.fireTicks(at)
 	e.now = at
 	e.processed++
 	e.labelCounts[label]++
-	fn(e.now)
+	h.Fire(e.now)
 	return true
 }
 

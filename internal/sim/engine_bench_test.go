@@ -86,28 +86,54 @@ func BenchmarkEngineFire(b *testing.B) {
 	}
 }
 
+// countHandler is a typed event handler: its state is its own, so
+// scheduling it captures nothing.
+type countHandler struct{ n int }
+
+func (h *countHandler) Fire(Time) { h.n++ }
+
 // TestEngineSteadyStateAllocs is the CI allocation gate: once the pool,
 // wheel, and label table are warm, scheduling and draining events must
-// allocate NOTHING in the engine (the caller's closures are its own
-// business; here one closure is reused). An alloc-count regression in
-// the hot path fails this deterministically, unlike a timing threshold.
+// allocate NOTHING in the engine — for a reused closure under a string
+// label, for a typed handler under an interned Label (the datapath's
+// form), and for a serial link completing transfers into a handler. An
+// alloc-count regression in the hot path fails this deterministically,
+// unlike a timing threshold.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	for _, eng := range benchEngines {
 		t.Run(eng.name, func(t *testing.T) {
 			e := eng.mk()
 			fn := func(Time) {}
-			for i := 0; i < 2000; i++ {
-				e.AfterNamed(Time(i%97), "grant", fn)
+			h := &countHandler{}
+			grant := e.Intern("grant")
+			link := NewBandwidth(e, 1e9)
+			forms := []struct {
+				name     string
+				schedule func(i int)
+			}{
+				{"closure", func(i int) { e.AfterNamed(Time(i%97), "grant", fn) }},
+				{"handler", func(i int) { e.AfterHandler(Time(i%97), grant, h) }},
+				{"link", func(i int) { link.Transfer(int64(1+i%97), h) }},
 			}
-			e.Run()
-			avg := testing.AllocsPerRun(50, func() {
-				for i := 0; i < 200; i++ {
-					e.AfterNamed(Time(i%97), "grant", fn)
-				}
-				e.Run()
-			})
-			if avg != 0 {
-				t.Errorf("steady-state schedule+drain allocates %.1f objects per 200 events, want 0", avg)
+			for _, f := range forms {
+				t.Run(f.name, func(t *testing.T) {
+					for i := 0; i < 2000; i++ {
+						f.schedule(i)
+					}
+					e.Run()
+					avg := testing.AllocsPerRun(50, func() {
+						for i := 0; i < 200; i++ {
+							f.schedule(i)
+						}
+						e.Run()
+					})
+					if avg != 0 {
+						t.Errorf("steady-state schedule+drain allocates %.1f objects per 200 events, want 0", avg)
+					}
+				})
+			}
+			if h.n == 0 {
+				t.Error("typed handler never fired")
 			}
 		})
 	}

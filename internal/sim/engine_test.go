@@ -305,7 +305,10 @@ func TestResourceSerializesWork(t *testing.T) {
 	type span struct{ start, end Time }
 	var spans []span
 	for i := 0; i < 5; i++ {
-		r.Acquire(100, func(s, en Time) { spans = append(spans, span{s, en}) })
+		// The completion fires at end; the window's start is Acquire's
+		// return value.
+		var start Time
+		start, _ = r.Acquire(100, EventFunc(func(now Time) { spans = append(spans, span{start, now}) }))
 	}
 	e.Run()
 	if len(spans) != 5 {

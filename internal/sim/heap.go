@@ -10,7 +10,7 @@ package sim
 // Unlike the old container/heap version it neither boxes events into
 // interfaces (two allocations per event) nor strands popped callbacks in
 // the truncated slice's backing array — the slice holds indices, and the
-// node pool zeroes a drained node's closure.
+// node pool zeroes a drained node's handler.
 type heapQueue struct {
 	pool *nodePool
 	h    []int32

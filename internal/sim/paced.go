@@ -103,11 +103,10 @@ func (p *PacedBandwidth) Consume(deltaBytes int64) {
 }
 
 // Transfer admits bytes through the token gate and then moves them over
-// the underlying link, calling done(start, end) when the last byte
-// clears it (done may be nil). The returned times are unknowable before
-// admission, so unlike Bandwidth.Transfer it reports them only through
-// the callback.
-func (p *PacedBandwidth) Transfer(bytes int64, done func(start, end Time)) {
+// the underlying link, firing done when the last byte clears it (done
+// may be nil). The completion time is unknowable before admission, so
+// unlike Bandwidth.Transfer it is reported only as done's now.
+func (p *PacedBandwidth) Transfer(bytes int64, done Handler) {
 	p.Admit(bytes, func(Time) { p.link.Transfer(bytes, done) })
 }
 

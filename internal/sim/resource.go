@@ -5,12 +5,14 @@ package sim
 // FIFO order of Acquire calls.
 //
 // Acquire reserves the resource for dur nanoseconds starting at the earliest
-// instant the resource is free, and schedules done(start, end) at end.
+// instant the resource is free, and schedules done.Fire(end) at end.
 // This "reservation" style keeps queueing implicit and cheap; components
 // that need reorderable queues (the storage I/O schedulers) keep their own
 // explicit queues and only Acquire at dispatch time.
 type Resource struct {
-	eng       *Engine
+	eng *Engine
+	// doneLabel is the interned "resource" label of completion events.
+	doneLabel Label
 	busyUntil Time
 	// busy tracks cumulative busy time, for utilization reporting.
 	busy Time
@@ -22,7 +24,7 @@ func NewResource(eng *Engine) *Resource {
 	if eng == nil {
 		panic("sim: NewResource with nil engine")
 	}
-	return &Resource{eng: eng}
+	return &Resource{eng: eng, doneLabel: eng.Intern("resource")}
 }
 
 // FreeAt returns the earliest time the resource becomes idle.
@@ -52,9 +54,10 @@ func (r *Resource) Utilization() float64 {
 // Ops returns the number of completed or reserved operations.
 func (r *Resource) Ops() uint64 { return r.ops }
 
-// Acquire reserves the resource for dur and calls done(start, end) at end.
-// done may be nil when only the reservation matters.
-func (r *Resource) Acquire(dur Time, done func(start, end Time)) (start, end Time) {
+// Acquire reserves the resource for dur and schedules done at end, where
+// it fires with now == end; done may be nil when only the reservation
+// matters. Callers that need the window read it from the return values.
+func (r *Resource) Acquire(dur Time, done Handler) (start, end Time) {
 	if dur < 0 {
 		panic("sim: negative duration")
 	}
@@ -64,7 +67,7 @@ func (r *Resource) Acquire(dur Time, done func(start, end Time)) (start, end Tim
 	r.busy += dur
 	r.ops++
 	if done != nil {
-		r.eng.AtNamed(end, "resource", func(Time) { done(start, end) })
+		r.eng.AtHandler(end, r.doneLabel, done)
 	}
 	return start, end
 }

@@ -474,8 +474,8 @@ func TestDeviceTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	var readEnd, progEnd sim.Time
-	d.TimeRead(flash.Addr{Channel: 1}, func(_, end sim.Time) { readEnd = end })
-	d.TimeProgram(flash.Addr{Channel: 1}, func(_, end sim.Time) { progEnd = end })
+	d.TimeRead(flash.Addr{Channel: 1}, sim.EventFunc(func(end sim.Time) { readEnd = end }))
+	d.TimeProgram(flash.Addr{Channel: 1}, sim.EventFunc(func(end sim.Time) { progEnd = end }))
 	eng.Run()
 	p := d.Profile()
 	if readEnd != p.ReadPage {
@@ -493,8 +493,7 @@ func TestOccupyChannelBlocksIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.OccupyChannel(0, 10*sim.Millisecond)
-	var start sim.Time
-	d.TimeRead(flash.Addr{Channel: 0}, func(s, _ sim.Time) { start = s })
+	start, _ := d.TimeRead(flash.Addr{Channel: 0}, nil)
 	eng.Run()
 	if start != 10*sim.Millisecond {
 		t.Fatalf("read started at %d, want delayed to %d", start, 10*sim.Millisecond)

@@ -32,10 +32,19 @@ type Sample struct {
 // the "Stor" series of Fig. 15.
 func (s Sample) Storage() int64 { return s.Queue + s.Device }
 
+// blockSamples is the capacity of one Recorder storage block.
+const blockSamples = 1024
+
 // Recorder accumulates samples for one experiment run.
 // It is not safe for concurrent use; the simulation is single-threaded.
 type Recorder struct {
-	samples []Sample
+	// blocks store the samples in fixed-size chunks, filled in order;
+	// cur is the block being filled. Unlike one doubling slice, growth
+	// never copies samples or leaves a discarded backing array for the
+	// garbage collector, so a long run's footprint is its samples.
+	blocks [][]Sample
+	cur    int
+	n      int
 	// start/end bound the measurement window for throughput.
 	start, end int64
 	redirects  int
@@ -46,7 +55,7 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 // Add records one completed request finishing at virtual time now.
 func (r *Recorder) Add(s Sample, now int64) {
-	if len(r.samples) == 0 {
+	if r.n == 0 {
 		r.start = now
 	}
 	if now > r.end {
@@ -55,27 +64,39 @@ func (r *Recorder) Add(s Sample, now int64) {
 	if s.Redirected {
 		r.redirects++
 	}
-	r.samples = append(r.samples, s)
+	for r.cur < len(r.blocks) && len(r.blocks[r.cur]) == blockSamples {
+		r.cur++
+	}
+	if r.cur == len(r.blocks) {
+		r.blocks = append(r.blocks, make([]Sample, 0, blockSamples))
+	}
+	r.blocks[r.cur] = append(r.blocks[r.cur], s)
+	r.n++
 }
 
 // Len returns the number of recorded samples.
-func (r *Recorder) Len() int { return len(r.samples) }
+func (r *Recorder) Len() int { return r.n }
 
 // Redirects returns how many samples were redirected by the switch.
 func (r *Recorder) Redirects() int { return r.redirects }
 
 // Reset clears all samples while keeping capacity.
 func (r *Recorder) Reset() {
-	r.samples = r.samples[:0]
+	for i := range r.blocks {
+		r.blocks[i] = r.blocks[i][:0]
+	}
+	r.cur, r.n = 0, 0
 	r.start, r.end, r.redirects = 0, 0, 0
 }
 
 // filter returns latencies selected by keep and extracted by get, sorted.
 func (r *Recorder) filter(keep func(Sample) bool, get func(Sample) int64) []int64 {
-	out := make([]int64, 0, len(r.samples))
-	for _, s := range r.samples {
-		if keep == nil || keep(s) {
-			out = append(out, get(s))
+	out := make([]int64, 0, r.n)
+	for _, b := range r.blocks {
+		for _, s := range b {
+			if keep == nil || keep(s) {
+				out = append(out, get(s))
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -111,10 +132,10 @@ func (r *Recorder) WriteStorage() Dist {
 // Throughput returns completed requests per second of virtual time (IOPS).
 func (r *Recorder) Throughput() float64 {
 	dur := r.end - r.start
-	if dur <= 0 || len(r.samples) < 2 {
+	if dur <= 0 || r.n < 2 {
 		return 0
 	}
-	return float64(len(r.samples)-1) / (float64(dur) / 1e9)
+	return float64(r.n-1) / (float64(dur) / 1e9)
 }
 
 // Len returns the number of values in the distribution.
@@ -218,5 +239,12 @@ func Speedup(base, v int64) float64 {
 	return float64(base) / float64(v)
 }
 
-// RawSamples exposes the recorder's samples for diagnostic tooling.
-func RawSamples(r *Recorder) []Sample { return r.samples }
+// RawSamples returns a copy of the recorder's samples, in recording
+// order, for diagnostic tooling.
+func RawSamples(r *Recorder) []Sample {
+	out := make([]Sample, 0, r.n)
+	for _, b := range r.blocks {
+		out = append(out, b...)
+	}
+	return out
+}

@@ -134,6 +134,43 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestRecorderAcrossBlocks fills several storage blocks, then refills
+// them after a Reset: samples keep recording order, every statistic sees
+// all of them, and a Reset recorder reuses its blocks.
+func TestRecorderAcrossBlocks(t *testing.T) {
+	r := NewRecorder()
+	for round, n := range []int{2*blockSamples + 37, blockSamples + 1} {
+		r.Reset()
+		for i := 0; i < n; i++ {
+			r.Add(Sample{Total: int64(n - i), Write: i%4 == 0}, int64(i))
+		}
+		if r.Len() != n {
+			t.Fatalf("round %d: Len = %d, want %d", round, r.Len(), n)
+		}
+		raw := RawSamples(r)
+		if len(raw) != n {
+			t.Fatalf("round %d: RawSamples has %d samples, want %d", round, len(raw), n)
+		}
+		for i, s := range raw {
+			if s.Total != int64(n-i) {
+				t.Fatalf("round %d: sample %d = %d, want %d (recording order)", round, i, s.Total, n-i)
+			}
+		}
+		if all := r.All(); all.Len() != n || all.Min() != 1 || all.Max() != int64(n) {
+			t.Fatalf("round %d: All() len/min/max = %d/%d/%d", round, all.Len(), all.Min(), all.Max())
+		}
+		if got, want := r.Reads().Len()+r.Writes().Len(), n; got != want {
+			t.Fatalf("round %d: reads+writes = %d, want %d", round, got, want)
+		}
+		if want := float64(n-1) / (float64(n-1) / 1e9); r.Throughput() != want {
+			t.Fatalf("round %d: throughput = %v, want %v", round, r.Throughput(), want)
+		}
+	}
+	if len(r.blocks) != 3 {
+		t.Fatalf("%d blocks after refilling a Reset recorder, want the first run's 3 reused", len(r.blocks))
+	}
+}
+
 func TestTailCDFDefaults(t *testing.T) {
 	vals := make([]int64, 1000)
 	for i := range vals {

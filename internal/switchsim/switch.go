@@ -109,6 +109,12 @@ type Switch struct {
 	forward Forwarder
 	stats   Stats
 
+	// pipelineLabel is the interned "switch.pipeline" event label, and
+	// freeStages recycles the events of packets waiting for the
+	// pipeline, so a packet crossing the switch allocates nothing.
+	pipelineLabel sim.Label
+	freeStages    *stage
+
 	// PipelineLatency is the per-packet match-action latency (Tofino-class
 	// switches process in under a microsecond).
 	PipelineLatency sim.Time
@@ -162,6 +168,7 @@ func New(eng *sim.Engine, q Qdisc, fwd Forwarder) *Switch {
 		replaced:           make(map[uint32]uint32),
 		qdisc:              q,
 		forward:            fwd,
+		pipelineLabel:      eng.Intern("switch.pipeline"),
 		PipelineLatency:    800 * sim.Nanosecond,
 		RecirculateLatency: 800 * sim.Nanosecond,
 	}
@@ -499,9 +506,32 @@ func (s *Switch) Process(pkt packet.Packet) {
 	if release < now {
 		release = now
 	}
-	s.eng.AtNamed(release, "switch.pipeline", func(at sim.Time) {
-		s.runPipeline(pkt, now, at)
-	})
+	st := s.freeStages
+	if st == nil {
+		st = &stage{s: s}
+	} else {
+		s.freeStages = st.next
+	}
+	st.pkt, st.arrived = pkt, now
+	s.eng.AtHandler(release, s.pipelineLabel, st)
+}
+
+// stage is one packet between the egress queue and the match-action
+// pipeline: the switch.pipeline event.
+type stage struct {
+	s       *Switch
+	pkt     packet.Packet
+	arrived sim.Time
+	next    *stage // free-list link
+}
+
+// Fire runs the pipeline. The event is recycled before the pipeline
+// runs, since forwarding may immediately schedule into the same slot.
+func (st *stage) Fire(now sim.Time) {
+	s, pkt, arrived := st.s, st.pkt, st.arrived
+	st.next = s.freeStages
+	s.freeStages = st
+	s.runPipeline(pkt, arrived, now)
 }
 
 // runPipeline applies Algorithm 1 after the packet clears the egress queue.

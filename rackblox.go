@@ -264,10 +264,12 @@
 //     sim.Time. _test.go files, cmd/, and examples/ are exempt, and
 //     internal/walltime is the single audited boundary for host-time
 //     measurement (benchmark soak timing).
-//   - eventlabel: every event scheduled in internal packages goes
-//     through Engine.AtNamed/AfterNamed with a stable, non-empty label,
-//     so Result.EventsByHandler accounts for every processed event; a
-//     deliberate exception carries `//rackvet:unlabeled <rationale>`.
+//   - eventlabel: every event scheduled in internal packages carries a
+//     stable, non-empty label — through Engine.AtNamed/AfterNamed, or
+//     the typed-handler form AtHandler/AfterHandler with a Label from
+//     Engine.Intern — so Result.EventsByHandler accounts for every
+//     processed event; a deliberate exception carries
+//     `//rackvet:unlabeled <rationale>`.
 //   - observerpure: internal/trace and internal/stats never schedule
 //     events, call into simulation components, draw from sim.RNG, or
 //     write simulation-state fields — the static side of the
@@ -287,6 +289,19 @@
 //
 //	go build -o rackvet ./cmd/rackvet
 //	go vet -vettool=$(pwd)/rackvet ./...
+//
+// One further rule is kept by a test rather than an analyzer: hot-path
+// events are typed handlers, and closures are for cold paths. Each stage
+// a foreground request crosses — client issue, packet hops, the switch
+// pipeline, the server pump, DRAM and flash completions, the Hermes
+// round — is a sim.Handler that captures nothing (the object itself, or
+// an event recycled through a per-Rack or per-Switch free list) and is
+// scheduled under a Label interned once. A closure per hop would
+// allocate per request; TestDatapathSteadyStateAllocs (internal/core)
+// pins a warm rack's foreground read and write at one allocation each,
+// the request's own state, and TestEngineSteadyStateAllocs
+// (internal/sim) pins the engine itself at zero. Closures (AtNamed with
+// a func literal) remain for failures, repair, and control-plane timers.
 //
 // Each directive escape hatch is a reviewed assertion, not a
 // suppression: the rationale text after the directive name is required
