@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"rackblox/internal/flash"
 	"rackblox/internal/sim"
 	"rackblox/internal/workload"
 )
@@ -63,5 +65,108 @@ func TestDatapathSteadyStateAllocs(t *testing.T) {
 					tc.name, avg, datapathAllocBudget)
 			}
 		})
+	}
+}
+
+// TestECSteadyStateAllocs extends the datapath gate to erasure-coded
+// volumes: on a warm, healthy LRC(4,2) rack a single logical read (one
+// chunk holder) and a single write (its data, parity and local parity
+// holders) each allocate only their reqState. The write fan-out's holder
+// list comes from per-group scratch, not a fresh slice per write.
+func TestECSteadyStateAllocs(t *testing.T) {
+	cfg := lrcConfig()
+	cfg.Duration = 100 * sim.Millisecond
+	r, err := NewRack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run() // warm
+	g := r.groups[0]
+	keys := uint32(g.usedStripes * g.spec.K)
+	for _, tc := range []struct {
+		name      string
+		write     bool
+		completed *int64
+	}{
+		{"read", false, &r.completedReads},
+		{"write", true, &r.completedWrites},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var lpn uint32
+			one := func() {
+				lpn = (lpn + 7919) % keys
+				r.sendECOp(g, workload.Op{LPN: lpn, Write: tc.write})
+				r.eng.Run()
+			}
+			for i := 0; i < 500; i++ {
+				one()
+			}
+			const runs = 500
+			before := *tc.completed
+			avg := testing.AllocsPerRun(runs, one)
+			if got := *tc.completed - before; got != runs+1 {
+				t.Fatalf("%d EC %ss completed, want %d", got, tc.name, runs+1)
+			}
+			t.Logf("%.0f allocations per steady-state EC %s", avg, tc.name)
+			if avg > datapathAllocBudget {
+				t.Errorf("steady-state EC %s allocates %.0f objects, want <= %d (the reqState)",
+					tc.name, avg, datapathAllocBudget)
+			}
+		})
+	}
+}
+
+// repairAllocBudget bounds the mallocs per attempted request over a
+// whole Rack.Run of the repair workload: the reqState, amortized growth
+// of the request map, free lists and recorder blocks, and the cold
+// failure and re-integration paths. Degraded-read fan-out, repair
+// batches, pacer ticks and grants, and spine wakeups are all recycled.
+const repairAllocBudget = 4
+
+// TestRepairPathAllocs is the CI gate for the background repair and
+// degraded-read paths: three racks of six under LRC(4,2) on a scarce,
+// SLO-paced spine, with a server crash (rack-local XOR repair), its
+// revival (catch-up repair) and a whole-rack crash (aggregated
+// cross-rack repair, paced spine, degraded reads). It counts every
+// malloc over Rack.Run, so a closure or a per-call slice on any of those
+// paths shows up here as a deterministic rise per request.
+func TestRepairPathAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-run allocation gate")
+	}
+	cfg := lrcConfig()
+	cfg.CrossRackMBps = 80
+	cfg.Device = flash.ProfileOptane()
+	cfg.KeyspaceFrac = 0.25
+	cfg.MaxClientInflight = 256
+	cfg.Workload.WriteFrac = 0.2
+	cfg.Workload.MeanGap = 400 * sim.Microsecond
+	cfg.RepairSLO = RepairSLO{TargetP99: 6400 * sim.Microsecond}
+	cfg.Warmup = 60 * sim.Millisecond
+	cfg.Duration = 400 * sim.Millisecond
+	cfg.Scenario = []Event{
+		FailServer(0, 60*sim.Millisecond),
+		ReviveServer(0, 150*sim.Millisecond),
+		FailRack(0, 300*sim.Millisecond),
+	}
+	r, err := NewRack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res := r.Run()
+	runtime.ReadMemStats(&m1)
+
+	if res.LocalRepairStripes == 0 || res.AggregatedRepairStripes == 0 || res.DegradedReads == 0 {
+		t.Fatalf("run did not exercise repair: local=%d aggregated=%d degraded reads=%d",
+			res.LocalRepairStripes, res.AggregatedRepairStripes, res.DegradedReads)
+	}
+	attempted := int64(res.Recorder.Len()) + res.LostRequests
+	perReq := float64(m1.Mallocs-m0.Mallocs) / float64(attempted)
+	t.Logf("%.2f mallocs per attempted request over %d requests", perReq, attempted)
+	if perReq > repairAllocBudget {
+		t.Errorf("repair run allocates %.2f objects per request, want <= %d", perReq, repairAllocBudget)
 	}
 }

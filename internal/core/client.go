@@ -22,31 +22,35 @@ func (r *Rack) startClients() {
 		r.eng.AfterHandler(pr.gen.NextGap(), r.lbl.issue, pr)
 		if r.cfg.SoftwareIsolated {
 			for j, inst := range []*instance{pr.primary, pr.replica} {
-				inst := inst
 				rng := r.rng.Fork(int64(400 + 2*i + j))
 				keys := uint64(float64(inst.peer.FTL.LogicalPages()) * r.cfg.KeyspaceFrac)
 				if keys < 64 {
 					keys = 64
 				}
-				z := sim.NewZipf(rng, 0.99, keys)
-				r.eng.AfterNamed(rng.Exp(r.cfg.Workload.MeanGap), "client.peer_load", func(sim.Time) {
-					r.peerLoad(inst, z, rng)
-				})
+				pl := &peerLoad{r: r, inst: inst, z: sim.NewZipf(rng, 0.99, keys), rng: rng}
+				r.eng.AfterHandler(rng.Exp(r.cfg.Workload.MeanGap), r.lbl.peerLoad, pl)
 			}
 		}
 	}
 }
 
-// peerLoad drives the collocated software-isolated tenant with writes that
-// consume its free blocks and occupy the shared channels.
-func (r *Rack) peerLoad(inst *instance, z *sim.Zipf, rng *sim.RNG) {
-	now := r.eng.Now()
+// peerLoad is one collocated software-isolated tenant's background write
+// stream; it is its own client.peer_load event.
+type peerLoad struct {
+	r    *Rack
+	inst *instance
+	z    *sim.Zipf
+	rng  *sim.RNG
+}
+
+// Fire issues the tenant's next write, which consumes its free blocks
+// and occupies the shared channels.
+func (pl *peerLoad) Fire(now sim.Time) {
+	r, inst := pl.r, pl.inst
 	if now < r.stopIssuing {
-		r.eng.AfterNamed(rng.Exp(2*r.cfg.Workload.MeanGap), "client.peer_load", func(sim.Time) {
-			r.peerLoad(inst, z, rng)
-		})
+		r.eng.AfterHandler(pl.rng.Exp(2*r.cfg.Workload.MeanGap), r.lbl.peerLoad, pl)
 	}
-	lpn := int(z.Next())
+	lpn := int(pl.z.Next())
 	addr, err := inst.peer.FTL.Write(lpn)
 	if err != nil {
 		// The peer is out of space: the channel group rebalances or

@@ -2,7 +2,6 @@ package core
 
 import (
 	"rackblox/internal/ec"
-	"rackblox/internal/flash"
 	"rackblox/internal/packet"
 	"rackblox/internal/sched"
 	"rackblox/internal/sim"
@@ -75,6 +74,13 @@ type ecGroup struct {
 	failedHolders       int
 	reintegratedHolders int
 	reintegratedAt      sim.Time
+
+	// Scratch for the member lists the datapath and repair compute per
+	// request or batch: writeHolders fills holderBuf, readSources and
+	// degradedSources fill readBuf, repairSources fills repairBuf. Each
+	// returned slice is valid until the next call of the same function;
+	// no caller holds one across such a call.
+	holderBuf, readBuf, repairBuf []*instance
 }
 
 // holderIndex resolves a member id to its group-local holder index.
@@ -244,23 +250,25 @@ func (g *ecGroup) sameRackNeighbor(i int) *instance {
 // touch (the honest write amplification of local parity: an updated
 // chunk changes its rack's XOR). Members are returned as originally
 // placed — the client's volume map never changes; the ToR rewrites
-// traffic for failed-over or re-integrated members.
+// traffic for failed-over or re-integrated members. The slice is the
+// group's scratch, valid until the next writeHolders call.
 func (g *ecGroup) writeHolders(stripe, pos int) []*instance {
-	out := []*instance{g.insts[g.striper.DataHolder(stripe, pos)]}
-	for _, h := range g.striper.ParityHolders(stripe) {
-		out = append(out, g.insts[h])
+	out := append(g.holderBuf[:0], g.insts[g.striper.DataHolder(stripe, pos)])
+	for j := 0; j < g.spec.M; j++ {
+		out = append(out, g.insts[g.striper.ParityHolder(stripe, j)])
 	}
 	if g.hasLocalParity() {
-		seen := make(map[int]bool)
-		for _, m := range out {
-			seen[m.server.rackIdx] = true
-		}
+		global := len(out)
 		for _, lp := range g.insts[g.spec.Width():] {
-			if seen[lp.server.rackIdx] {
-				out = append(out, lp)
+			for _, m := range out[:global] {
+				if m.server.rackIdx == lp.server.rackIdx {
+					out = append(out, lp)
+					break
+				}
 			}
 		}
 	}
+	g.holderBuf = out
 	return out
 }
 
@@ -300,29 +308,35 @@ func (g *ecGroup) adopter(holder int) *instance {
 // outstanding are never sources: a revived-but-catching-up member is
 // blank. Local parity holders never join an RS decode — their chunk is
 // a rack-local XOR, not a generator row — so only global members (and a
-// global coordinator) qualify.
+// global coordinator) qualify. The slice is the group's readBuf scratch.
 func (g *ecGroup) readSources(coord *instance, now sim.Time) []*instance {
 	width := g.spec.Width()
-	out := make([]*instance, 0, width)
+	out := g.readBuf[:0]
 	if ci, ok := g.memberIndex(coord); ok && ci < width {
 		out = append(out, coord)
 	}
-	var remote, busy []*instance
-	for i, m := range g.insts[:width] {
-		if m == coord || !m.server.reachable() || g.repairing[i] {
-			continue
-		}
-		switch {
-		case m.v.InGC(now):
-			busy = append(busy, m)
-		case m.server.rackIdx != coord.server.rackIdx:
-			remote = append(remote, m)
-		default:
-			out = append(out, m)
+	// One pass per class keeps each class in member order: idle
+	// rack-local survivors, then idle remote ones, then collecting ones.
+	const local, remote, busy = 0, 1, 2
+	for class := local; class <= busy; class++ {
+		for i, m := range g.insts[:width] {
+			if m == coord || !m.server.reachable() || g.repairing[i] {
+				continue
+			}
+			c := local
+			switch {
+			case m.v.InGC(now):
+				c = busy
+			case m.server.rackIdx != coord.server.rackIdx:
+				c = remote
+			}
+			if c == class {
+				out = append(out, m)
+			}
 		}
 	}
-	out = append(out, remote...)
-	return append(out, busy...)
+	g.readBuf = out
+	return out
 }
 
 // degradedSources picks the reconstruction plan for a degraded read at
@@ -339,7 +353,7 @@ func (g *ecGroup) degradedSources(coord *instance, homeID uint32, now sim.Time) 
 		if hIdx, ok := g.holderIndex(homeID); ok &&
 			g.insts[hIdx] != coord && g.insts[hIdx].server.rackIdx == coord.server.rackIdx {
 			rack := coord.server.rackIdx
-			local := []*instance{coord}
+			local := append(g.readBuf[:0], coord)
 			complete := true
 			for j, m := range g.insts {
 				if m.server.rackIdx != rack || m == coord || j == hIdx {
@@ -351,6 +365,7 @@ func (g *ecGroup) degradedSources(coord *instance, homeID uint32, now sim.Time) 
 				}
 				local = append(local, m)
 			}
+			g.readBuf = local
 			if complete {
 				return local, len(local), true
 			}
@@ -367,11 +382,12 @@ func (g *ecGroup) degradedSources(coord *instance, homeID uint32, now sim.Time) 
 // returned bool reports it. Otherwise the global plan applies: the
 // adopter's own chunk first (unless it is the blank rebuild target),
 // then rack-local global survivors, then remote ones, k in total —
-// local parity holders never feed an RS decode.
+// local parity holders never feed an RS decode. The slice is the group's
+// repairBuf scratch, valid until the next repairSources call.
 func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, bool) {
 	if g.hasLocalParity() && adopter.server.rackIdx == g.insts[holder].server.rackIdx {
 		rack := adopter.server.rackIdx
-		var local []*instance
+		local := g.repairBuf[:0]
 		complete := true
 		for j, m := range g.insts {
 			if m.server.rackIdx != rack || j == holder {
@@ -383,12 +399,13 @@ func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, boo
 			}
 			local = append(local, m)
 		}
+		g.repairBuf = local
 		if complete {
 			return local, true
 		}
 	}
 	width := g.spec.Width()
-	var sources []*instance
+	sources := g.repairBuf[:0]
 	if ai, ok := g.memberIndex(adopter); ok && ai < width && adopter != g.insts[holder] {
 		sources = append(sources, adopter)
 	}
@@ -408,6 +425,7 @@ func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, boo
 			sources = append(sources, m)
 		}
 	}
+	g.repairBuf = sources
 	return sources, false
 }
 
@@ -421,8 +439,13 @@ func (r *Rack) issueEC(g *ecGroup) {
 	if r.cfg.MaxClientInflight > 0 && g.inflight >= r.cfg.MaxClientInflight {
 		return
 	}
+	r.sendECOp(g, g.gen.Next())
+}
 
-	op := g.gen.Next()
+// sendECOp issues one logical request of volume g: its request state,
+// the client loss detector, and the fan-out to the chunk holders.
+func (r *Rack) sendECOp(g *ecGroup, op workload.Op) {
+	now := r.eng.Now()
 	r.seq++
 	st := &reqState{
 		seq:       r.seq,
@@ -537,7 +560,7 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 		// the library-level twin of this path).
 		r.unrecoverableReads++
 		if len(sources) == 0 {
-			sources = []*instance{inst}
+			sources = append(sources, inst)
 		} else {
 			sources = sources[:1]
 		}
@@ -546,16 +569,14 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 	}
 	// Under the LRC family a global fallback decode still ships
 	// aggregates: each remote rack folds its survivors into one partial
-	// sum locally, and only the rack's designated shipper pays the spine
-	// for one chunk.
-	var shipper map[int]*instance
+	// sum locally, and only the rack's designated shipper — its first
+	// source — pays the spine for one chunk.
+	var shipper []*instance
 	if g.hasLocalParity() && !localPlan {
-		shipper = make(map[int]*instance)
+		shipper = r.rackScratch()
 		for _, src := range sources {
-			if src.server.rackIdx != inst.server.rackIdx {
-				if _, ok := shipper[src.server.rackIdx]; !ok {
-					shipper[src.server.rackIdx] = src
-				}
+			if rk := src.server.rackIdx; rk != inst.server.rackIdx && shipper[rk] == nil {
+				shipper[rk] = src
 			}
 		}
 	}
@@ -573,69 +594,28 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 			recSpan.Annotate(trace.String("plan", plan))
 		}
 	}
-	remaining := len(sources)
-	finish := func() {
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		r.eng.AfterNamed(ecDecodeTime, "ec.decode", func(tnow sim.Time) {
-			recSpan.EndAt(tnow)
-			s.completeRead(inst, req)
-		})
-	}
-	chunkBytes := int64(r.cfg.Geometry.PageSize)
+	dr := r.newDegradedRead(degradedRead{
+		inst: inst, req: req, stripe: stripe, recSpan: recSpan, remaining: len(sources),
+	})
 	for _, src := range sources {
-		src := src
-		cross := src.server.rackIdx != inst.server.rackIdx
-		readChunk := func(sim.Time) {
-			addr, err := src.v.FTL.Read(stripe)
-			if err != nil {
-				// Chunk outside the preconditioned range still costs one
-				// device read on the source's first channel.
-				addr = flash.Addr{Channel: src.v.Channels()[0]}
+		f := r.newChunkFetch(chunkFetch{dr: dr, src: src})
+		if src.server.rackIdx != inst.server.rackIdx {
+			f.route = fetchSpine
+			if shipper != nil && shipper[src.server.rackIdx] != src {
+				f.route = fetchFeed
 			}
-			src.server.dev.TimeRead(addr, sim.EventFunc(func(sim.Time) {
-				if src == inst {
-					finish()
-					return
-				}
-				if cross {
-					if shipper != nil && shipper[src.server.rackIdx] != src {
-						// This survivor only feeds its rack's partial sum:
-						// a rack-local hop to the shipper, no spine bytes.
-						back := r.net.PathLatency(r.eng.Now(), 2)
-						r.eng.AfterNamed(back, "ec.chunk_back", func(sim.Time) { finish() })
-						return
-					}
-					// The chunk ships back over the metered spine link,
-					// then the remote-rack edge hops.
-					fs, fe := r.cluster.spine.CrossFetch(chunkBytes, func(sim.Time) {
-						back := r.cluster.spine.Propagation() + r.net.PathLatency(r.eng.Now(), 2)
-						r.eng.AfterNamed(back, "ec.chunk_back", func(sim.Time) { finish() })
-					})
-					if recSpan != nil {
-						if tnow := r.eng.Now(); fs > tnow {
-							recSpan.Child("spine_wait", tnow).EndAt(fs)
-						}
-						recSpan.Child("spine_xfer", fs).EndAt(fe)
-					}
-					return
-				}
-				back := r.net.PathLatency(r.eng.Now(), 2)
-				r.eng.AfterNamed(back, "ec.chunk_back", func(sim.Time) { finish() })
-			}))
 		}
 		if src == inst {
-			readChunk(now)
+			f.readChunk()
 		} else {
 			out := r.net.PathLatency(now, 2)
-			if cross {
+			if f.route != fetchRack {
 				out += r.cluster.spine.Propagation()
 			}
-			r.eng.AfterNamed(out, "ec.chunk_read", readChunk)
+			r.eng.AfterHandler(out, r.lbl.chunkRead, f)
 		}
 	}
+	clear(shipper)
 }
 
 // scheduleRepair arms the group's repair pump one monitor period out.
@@ -644,7 +624,7 @@ func (r *Rack) scheduleRepair(g *ecGroup) {
 		return
 	}
 	g.repairArmed = true
-	r.eng.AfterNamed(r.cfg.GCCheckInterval, "ec.repair_pump", func(sim.Time) { r.repairPump(g) })
+	r.eng.AfterHandler(r.cfg.GCCheckInterval, r.lbl.repairPump, (*repairPumpEvent)(g))
 }
 
 // repairPump admits background chunk reconstruction only in the
@@ -700,9 +680,7 @@ func (r *Rack) repairPump(g *ecGroup) {
 	// was checked at claim time and the grant re-validates liveness in
 	// runRepairTask, like any task that waited in a queue.
 	charge := int64(task.Stripes) * int64(r.cfg.Geometry.PageSize)
-	r.pacer.admit(charge, func() {
-		r.runRepairTask(g, task, charge)
-	})
+	r.pacer.admit(charge, r.newRepairStep(repairStep{kind: repairGrant, g: g, task: task, charge: charge}))
 }
 
 // runRepairTask rebuilds one batch of a lost holder's chunks: chunk
@@ -767,7 +745,9 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 	var end sim.Time
 	var crossBytes int64
 	readDur := sim.Time(task.Stripes) * r.cfg.Device.ReadPage
-	aggRacks := make(map[int]bool)
+	// shipped marks the remote racks whose aggregate already crossed.
+	shipped := r.rackScratch()
+	aggregated := false
 	for _, src := range sources {
 		chs := src.v.Channels()
 		_, e := src.server.dev.OccupyChannel(chs[task.FirstStripe%len(chs)], readDur)
@@ -775,8 +755,9 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 			// The batch crosses the spine: meter it on the shared link.
 			// Under LRC the remote rack combines its survivors locally
 			// first and ships one aggregate per rack, not one per source.
-			if !g.hasLocalParity() || !aggRacks[src.server.rackIdx] {
-				aggRacks[src.server.rackIdx] = true
+			if !g.hasLocalParity() || shipped[src.server.rackIdx] == nil {
+				shipped[src.server.rackIdx] = src
+				aggregated = true
 				crossBytes += batchBytes
 				if _, te := r.cluster.spine.CrossFetch(batchBytes, nil); te+r.cluster.spine.Propagation() > e {
 					e = te + r.cluster.spine.Propagation()
@@ -787,9 +768,10 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 			end = e
 		}
 	}
+	clear(shipped)
 	if localPlan {
 		r.localRepairStripes += int64(task.Stripes)
-	} else if g.hasLocalParity() && len(aggRacks) > 0 {
+	} else if g.hasLocalParity() && aggregated {
 		r.aggRepairStripes += int64(task.Stripes)
 	}
 	if r.pacer != nil {
@@ -804,16 +786,22 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 		end = e
 	}
 	end += sim.Time(task.Stripes)*ecDecodeTime + r.net.PathLatency(now, 2)
-	r.eng.AtNamed(end, "ec.repair_done", func(now sim.Time) {
-		sp.Annotate(trace.Int("cross_bytes", crossBytes))
-		sp.Finish(now)
-		r.lastRepairDone = now
-		if g.recon.Done(task) {
-			r.reintegrate(g, task.Holder)
-		}
-		g.repairInFlight = false
-		r.scheduleRepair(g)
-	})
+	r.eng.AtHandler(end, r.lbl.repairDone,
+		r.newRepairStep(repairStep{kind: repairDone, g: g, task: task, sp: sp, crossBytes: crossBytes}))
+}
+
+// repairTaskDone lands one rebuilt batch (ec.repair_done): the batch's
+// span closes, a holder whose last batch this was re-integrates, and the
+// group's pump re-arms for the next batch.
+func (r *Rack) repairTaskDone(g *ecGroup, task ec.RepairTask, sp *trace.Span, crossBytes int64, now sim.Time) {
+	sp.Annotate(trace.Int("cross_bytes", crossBytes))
+	sp.Finish(now)
+	r.lastRepairDone = now
+	if g.recon.Done(task) {
+		r.reintegrate(g, task.Holder)
+	}
+	g.repairInFlight = false
+	r.scheduleRepair(g)
 }
 
 // reintegrate closes the repair loop for one fully rebuilt holder: the

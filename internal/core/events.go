@@ -1,35 +1,47 @@
 package core
 
 import (
+	"rackblox/internal/ec"
+	"rackblox/internal/flash"
 	"rackblox/internal/packet"
 	"rackblox/internal/replication"
 	"rackblox/internal/sched"
 	"rackblox/internal/sim"
 	"rackblox/internal/switchsim"
+	"rackblox/internal/trace"
 )
 
-// Hot-path events. Every stage a foreground request crosses — the
-// client's next issue, each packet hop, the server pump, the DRAM and
-// device completions, the write's Hermes round — is a typed sim.Handler
-// that captures nothing. Fixed-state events are the object itself (a
-// *pair is its own next-issue event, (*pumpEvent)(inst) an instance's
-// pump); events carrying a packet or a request come from the Rack's
-// free lists (freeHops, freeIO), which grow lazily to the number of
-// events in flight and are owned by the one engine, so recycling is
-// deterministic. Each Fire copies its fields out and recycles the event
-// before running, because the handler may immediately schedule into the
-// same slot. Closures remain for cold paths: failures, repair, and
-// control-plane timers.
+// Datapath and repair events. Every stage a foreground request crosses —
+// the client's next issue, each packet hop, the server pump, the DRAM
+// and device completions, the write's Hermes round — and every step of
+// the background work beside it — a degraded read's chunk fetches and
+// decode, the repair pump, the pacer's grant and tick, a batch's
+// completion — is a typed sim.Handler that captures nothing.
+// Fixed-state events are the object itself (a *pair is its own
+// next-issue event, (*pumpEvent)(inst) an instance's pump,
+// (*repairPumpEvent)(g) a group's repair pump); events carrying a
+// packet, a request or a repair task come from the Rack's free lists,
+// which grow lazily to the number of events in flight and are owned by
+// the one engine, so recycling is deterministic. Each Fire copies its
+// fields out and recycles the event before running, because the handler
+// may immediately schedule into the same slot. Closures remain only for
+// cold paths: failures, re-integration, scenario timers and the GC
+// control plane's per-episode messages.
 
-// labels holds the hot-path handlers' event labels, interned once per
-// rack so scheduling one costs no map lookup.
+// labels holds the datapath and repair handlers' event labels, interned
+// once per rack so scheduling one costs no map lookup.
 type labels struct {
 	issue, issueEC, timeout sim.Label
+	peerLoad                sim.Label
 	clientSend, deliver     sim.Label
 	respond, hermes         sim.Label
 	pump, cacheHit, admit   sim.Label
 	staleRetry, cacheInsert sim.Label
 	gcMonitor               sim.Label
+	chunkRead, chunkBack    sim.Label
+	decode                  sim.Label
+	repairPump, repairDone  sim.Label
+	pacedTick               sim.Label
 }
 
 func internLabels(e *sim.Engine) labels {
@@ -37,6 +49,7 @@ func internLabels(e *sim.Engine) labels {
 		issue:       e.Intern("client.issue"),
 		issueEC:     e.Intern("client.issue_ec"),
 		timeout:     e.Intern("client.timeout"),
+		peerLoad:    e.Intern("client.peer_load"),
 		clientSend:  e.Intern("net.client_send"),
 		deliver:     e.Intern("net.deliver"),
 		respond:     e.Intern("net.respond"),
@@ -47,6 +60,12 @@ func internLabels(e *sim.Engine) labels {
 		staleRetry:  e.Intern("server.stale_retry"),
 		cacheInsert: e.Intern("server.cache_insert"),
 		gcMonitor:   e.Intern("gc.monitor"),
+		chunkRead:   e.Intern("ec.chunk_read"),
+		chunkBack:   e.Intern("ec.chunk_back"),
+		decode:      e.Intern("ec.decode"),
+		repairPump:  e.Intern("ec.repair_pump"),
+		repairDone:  e.Intern("ec.repair_done"),
+		pacedTick:   e.Intern("paced.tick"),
 	}
 }
 
@@ -216,5 +235,224 @@ func (ev *ioStep) run() {
 		r.deliverHermes(s.inst, s.msg)
 	case ioTimeout:
 		r.timeout(s.seq)
+	}
+}
+
+// rackScratch returns the rack's per-fault-domain scratch, one nil slot
+// per rack. The caller must clear it before returning and may not hold
+// it across anything that could call rackScratch again.
+func (r *Rack) rackScratch() []*instance {
+	if len(r.perRack) < r.cluster.racks {
+		r.perRack = make([]*instance, r.cluster.racks)
+	}
+	return r.perRack
+}
+
+// degradedRead is one reconstruction in flight at a coordinator: it
+// counts down the chunk fetches still outstanding, then is its own
+// ec.decode event.
+type degradedRead struct {
+	r         *Rack
+	inst      *instance // the coordinator
+	req       *sched.Request
+	stripe    int
+	recSpan   *trace.Span
+	remaining int
+	next      *degradedRead // free-list link
+}
+
+// newDegradedRead returns a recycled degradedRead holding d.
+func (r *Rack) newDegradedRead(d degradedRead) *degradedRead {
+	ev := r.freeReads
+	if ev == nil {
+		ev = new(degradedRead)
+	} else {
+		r.freeReads = ev.next
+	}
+	*ev = d
+	ev.r = r
+	return ev
+}
+
+// Fire completes the decoded read (ec.decode).
+func (dr *degradedRead) Fire(now sim.Time) {
+	d, r := *dr, dr.r
+	*dr = degradedRead{next: r.freeReads}
+	r.freeReads = dr
+	d.recSpan.EndAt(now)
+	d.inst.server.completeRead(d.inst, d.req)
+}
+
+// fetchRoute says how a fetched chunk travels back to the coordinator.
+type fetchRoute uint8
+
+const (
+	fetchRack  fetchRoute = iota // same rack: two edge hops
+	fetchSpine                   // another rack: the metered spine, then the edge hops
+	fetchFeed                    // another rack, folded into its shipper's aggregate: a rack-local hop
+)
+
+// fetchStep is the stage a chunkFetch's next Fire runs.
+type fetchStep uint8
+
+const (
+	stepRead     fetchStep = iota // ec.chunk_read lands at the source: read the chunk
+	stepReadDone                  // the source's device read completed
+	stepShipped                   // the chunk cleared the spine link
+	stepBack                      // ec.chunk_back: the chunk reached the coordinator
+)
+
+// chunkFetch is one source's chunk on its way to a degraded read's
+// coordinator. The same event carries it through every stage — the
+// ec.chunk_read request at the source, the device read, the spine
+// transfer for a shipped chunk, the ec.chunk_back arrival — since each
+// stage schedules exactly the next one.
+type chunkFetch struct {
+	dr    *degradedRead
+	src   *instance
+	route fetchRoute
+	step  fetchStep
+	next  *chunkFetch // free-list link
+}
+
+// newChunkFetch returns a recycled chunkFetch holding c.
+func (r *Rack) newChunkFetch(c chunkFetch) *chunkFetch {
+	ev := r.freeFetches
+	if ev == nil {
+		ev = new(chunkFetch)
+	} else {
+		r.freeFetches = ev.next
+	}
+	*ev = c
+	return ev
+}
+
+// Fire runs the fetch's next stage.
+func (f *chunkFetch) Fire(now sim.Time) {
+	switch f.step {
+	case stepRead:
+		f.readChunk()
+	case stepReadDone:
+		f.readDone(now)
+	case stepShipped:
+		r := f.dr.r
+		f.sendBack(r.cluster.spine.Propagation() + r.net.PathLatency(now, 2))
+	case stepBack:
+		f.finish()
+	}
+}
+
+// readChunk reads the stripe's chunk on the source's device.
+func (f *chunkFetch) readChunk() {
+	addr, err := f.src.v.FTL.Read(f.dr.stripe)
+	if err != nil {
+		// Chunk outside the preconditioned range still costs one
+		// device read on the source's first channel.
+		addr = flash.Addr{Channel: f.src.v.Channels()[0]}
+	}
+	f.step = stepReadDone
+	f.src.server.dev.TimeRead(addr, f)
+}
+
+// readDone sends the read chunk toward the coordinator. A shipped chunk
+// crosses the metered spine link first, then the remote-rack edge hops;
+// a survivor that only feeds its rack's partial sum takes a rack-local
+// hop to the shipper, no spine bytes.
+func (f *chunkFetch) readDone(now sim.Time) {
+	dr := f.dr
+	r := dr.r
+	switch {
+	case f.src == dr.inst:
+		f.finish()
+	case f.route == fetchSpine:
+		f.step = stepShipped
+		fs, fe := r.cluster.spine.CrossFetch(int64(r.cfg.Geometry.PageSize), f)
+		if dr.recSpan != nil {
+			if fs > now {
+				dr.recSpan.Child("spine_wait", now).EndAt(fs)
+			}
+			dr.recSpan.Child("spine_xfer", fs).EndAt(fe)
+		}
+	default:
+		f.sendBack(r.net.PathLatency(now, 2))
+	}
+}
+
+// sendBack lands the chunk at the coordinator d from now (ec.chunk_back).
+func (f *chunkFetch) sendBack(d sim.Time) {
+	f.step = stepBack
+	r := f.dr.r
+	r.eng.AfterHandler(d, r.lbl.chunkBack, f)
+}
+
+// finish recycles the fetch and counts its chunk in; the last one
+// schedules the decode.
+func (f *chunkFetch) finish() {
+	dr := f.dr
+	r := dr.r
+	*f = chunkFetch{next: r.freeFetches}
+	r.freeFetches = f
+	dr.remaining--
+	if dr.remaining == 0 {
+		r.eng.AfterHandler(ecDecodeTime, r.lbl.decode, dr)
+	}
+}
+
+// repairPumpEvent is a group's ec.repair_pump event.
+type repairPumpEvent ecGroup
+
+func (p *repairPumpEvent) Fire(sim.Time) {
+	g := (*ecGroup)(p)
+	g.rack.repairPump(g)
+}
+
+// pacerTickEvent is the rack's paced.tick controller adjustment.
+type pacerTickEvent Rack
+
+func (p *pacerTickEvent) Fire(sim.Time) { (*Rack)(p).pacerTick() }
+
+// repairKind names the repair step a repairStep runs.
+type repairKind uint8
+
+const (
+	repairGrant repairKind = iota // the pacer granted a batch's tokens: runRepairTask
+	repairDone                    // a batch's rebuilt chunks landed: repairTaskDone
+)
+
+// repairStep is one repair batch waiting for its pacer grant or for its
+// completion (ec.repair_done).
+type repairStep struct {
+	r          *Rack
+	kind       repairKind
+	g          *ecGroup
+	task       ec.RepairTask
+	charge     int64       // repairGrant: the tokens the admission charged
+	sp         *trace.Span // repairDone: the batch's span
+	crossBytes int64       // repairDone: the spine bytes the batch moved
+	next       *repairStep // free-list link
+}
+
+// newRepairStep returns a recycled repairStep holding s.
+func (r *Rack) newRepairStep(s repairStep) *repairStep {
+	ev := r.freeRepairs
+	if ev == nil {
+		ev = new(repairStep)
+	} else {
+		r.freeRepairs = ev.next
+	}
+	*ev = s
+	ev.r = r
+	return ev
+}
+
+func (ev *repairStep) Fire(now sim.Time) {
+	s, r := *ev, ev.r
+	*ev = repairStep{next: r.freeRepairs}
+	r.freeRepairs = ev
+	switch s.kind {
+	case repairGrant:
+		r.runRepairTask(s.g, s.task, s.charge)
+	case repairDone:
+		r.repairTaskDone(s.g, s.task, s.sp, s.crossBytes, now)
 	}
 }

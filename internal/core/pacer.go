@@ -213,11 +213,9 @@ func (p *RepairPacer) batchStripes() int {
 	return n
 }
 
-// admit gates one claimed repair batch through the token lane; run fires
-// once the tokens mature (FIFO after earlier admissions).
-func (p *RepairPacer) admit(bytes int64, run func()) {
-	p.lane.Admit(bytes, func(sim.Time) { run() })
-}
+// admit gates one claimed repair batch through the token lane; grant
+// fires once the tokens mature (FIFO after earlier admissions).
+func (p *RepairPacer) admit(bytes int64, grant sim.Handler) { p.lane.Admit(bytes, grant) }
 
 // settle reconciles a granted batch's token charge against the spine
 // bytes it actually moved. The charge at admission is the rebuilt chunk
@@ -253,7 +251,7 @@ func (r *Rack) pacerTick() {
 			trace.Int("rate_kbps", int64(r.pacer.rateMBps*1000)))
 	}
 	if now < r.stopIssuing || active {
-		r.eng.AfterNamed(r.pacer.slo.Interval, "paced.tick", func(sim.Time) { r.pacerTick() })
+		r.eng.AfterHandler(r.pacer.slo.Interval, r.lbl.pacedTick, (*pacerTickEvent)(r))
 	}
 }
 

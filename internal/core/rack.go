@@ -139,15 +139,22 @@ type Rack struct {
 	// driver. The parallel per-rack shards exist only in the separate
 	// soak model (shardsim.go).
 	eng *sim.Engine
-	// lbl holds the hot-path event labels; freeHops, freeIO and
-	// freeReqs recycle the packet and server-step events in flight and
-	// the server queue entries (events.go).
-	lbl      labels
-	freeHops *hopEvent
-	freeIO   *ioStep
-	freeReqs []*sched.Request
-	net      *netsim.Network
-	cluster  *Cluster
+	// lbl holds the datapath and repair event labels; freeHops, freeIO
+	// and freeReqs recycle the packet and server-step events in flight
+	// and the server queue entries, freeReads and freeFetches the
+	// degraded reads and their chunk fetches, freeRepairs the repair
+	// grants and completions (events.go). perRack is per-rack scratch
+	// (rackScratch).
+	lbl         labels
+	freeHops    *hopEvent
+	freeIO      *ioStep
+	freeReqs    []*sched.Request
+	freeReads   *degradedRead
+	freeFetches *chunkFetch
+	freeRepairs *repairStep
+	perRack     []*instance
+	net         *netsim.Network
+	cluster     *Cluster
 	// sw aliases the first rack's ToR for the single-rack call sites and
 	// tests; multi-rack paths go through torOf/cluster.
 	sw      *switchsim.Switch

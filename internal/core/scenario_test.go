@@ -427,3 +427,82 @@ func TestReplicationRevivalRepairs(t *testing.T) {
 		t.Fatalf("only %d samples; rack did not keep serving through the cycle", res.Recorder.Len())
 	}
 }
+
+// TestHermesGroupChangeIsDeterministic is the regression for Hermes
+// settling in-flight writes in map order. When a replica dies, its
+// partner's RemovePeer commits every write still waiting for the dead
+// node's ack; when a primary revives, Rejoin releases the writes it held
+// at the crash. Each settled write responds to a client, scheduling
+// events and drawing network latency from the rack RNG, so with several
+// writes in flight at the group change two same-seed runs must still be
+// identical. Map order is random per run, so each case repeats over a
+// few seeds to make a regression fail reliably.
+func TestHermesGroupChangeIsDeterministic(t *testing.T) {
+	const failAt = 100 * sim.Millisecond
+	// run crashes server srv, revives it at reviveAt, and returns the
+	// run's fingerprint and the writes pending in the affected pairs when
+	// the group change settles them: at crash detection (RemovePeer) for
+	// a replica's server, just before the revival (Rejoin) for a
+	// primary's.
+	run := func(t *testing.T, seed int64, srv int, reviveAt sim.Time, atDetection bool) (string, int) {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		cfg.Warmup = 50 * sim.Millisecond
+		cfg.Duration = 250 * sim.Millisecond
+		cfg.Scenario = []Event{FailServer(srv, failAt), ReviveServer(srv, reviveAt)}
+		r, err := NewRack(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending := 0
+		var probe sim.EventFunc
+		probe = func(now sim.Time) {
+			if (atDetection && r.failovers > 0) || now >= reviveAt {
+				return
+			}
+			pending = 0
+			for _, pr := range r.pairs {
+				if pr.primary.server == r.servers[srv] || pr.replica.server == r.servers[srv] {
+					pending += pr.primary.repl.Pending() + pr.replica.repl.Pending()
+				}
+			}
+			r.eng.After(50*sim.Microsecond, probe)
+		}
+		r.eng.At(failAt, probe)
+		res := r.Run()
+		if (atDetection && res.Failovers == 0) || res.ServerRevivals != 1 {
+			t.Fatalf("failovers=%d revivals=%d; the group change did not happen",
+				res.Failovers, res.ServerRevivals)
+		}
+		return fingerprint(t, res), pending
+	}
+	for _, tc := range []struct {
+		name        string
+		srv         int
+		atDetection bool
+		reviveAt    sim.Time
+	}{
+		// Server 1 holds replicas: the primaries await its acks.
+		{"RemovePeer", 1, true, 200 * sim.Millisecond},
+		// Server 0 holds primaries, whose writes wait out the crash; it
+		// returns inside the client timeout, so their clients still
+		// listen for the commits Rejoin releases.
+		{"Rejoin", 0, false, 145 * sim.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				first, inFlight := run(t, seed, tc.srv, tc.reviveAt, tc.atDetection)
+				if inFlight < 2 {
+					t.Fatalf("seed %d: %d writes in flight at the group change, want >= 2 for the test to bite",
+						seed, inFlight)
+				}
+				for i := 0; i < 3; i++ {
+					if again, _ := run(t, seed, tc.srv, tc.reviveAt, tc.atDetection); again != first {
+						t.Fatalf("seed %d: same-seed run %d diverged:\nfirst: %.200s\nagain: %.200s",
+							seed, i+2, first, again)
+					}
+				}
+			}
+		})
+	}
+}

@@ -49,7 +49,7 @@ type Spine struct {
 type spineXfer struct {
 	bytes  int64
 	repair bool
-	done   func(sim.Time) // repair only; may be nil
+	done   sim.Handler // repair only; may be nil
 }
 
 // spineDone is the spine's transfer-completion event.
@@ -65,7 +65,7 @@ func (d *spineDone) Fire(now sim.Time) {
 	}
 	s.crossRepairBytes += x.bytes
 	if x.done != nil {
-		x.done(now)
+		x.done.Fire(now)
 	}
 }
 
@@ -155,12 +155,12 @@ func (s *Spine) MeterForegroundTraced(bytes int64, sp *trace.Span) sim.Time {
 }
 
 // CrossFetch ships one repair payload (bytes of chunk data) over the
-// metered spine link, returning the transfer window and calling done
+// metered spine link, returning the transfer window and firing done
 // (may be nil) once the last byte has cleared the link. It is the single
 // accounting point for cross-rack repair traffic; transfers serialize on
 // the link, so aggregate repair throughput can never exceed the
 // configured cross-rack bandwidth.
-func (s *Spine) CrossFetch(bytes int64, done func(sim.Time)) (start, end sim.Time) {
+func (s *Spine) CrossFetch(bytes int64, done sim.Handler) (start, end sim.Time) {
 	s.crossRepairOffered += bytes
 	s.crossFetches++
 	s.inflight.Push(spineXfer{bytes: bytes, repair: true, done: done})

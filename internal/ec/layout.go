@@ -26,12 +26,18 @@ func (s Striper) DataHolder(stripe, pos int) int {
 	return (stripe + pos) % s.Spec.Width()
 }
 
+// ParityHolder returns the holder index storing parity chunk j (0 <= j
+// < m) of a stripe.
+func (s Striper) ParityHolder(stripe, j int) int {
+	return (stripe + s.Spec.K + j) % s.Spec.Width()
+}
+
 // ParityHolders returns the holder indices storing a stripe's m parity
 // chunks, in parity order.
 func (s Striper) ParityHolders(stripe int) []int {
 	out := make([]int, s.Spec.M)
-	for j := 0; j < s.Spec.M; j++ {
-		out[j] = (stripe + s.Spec.K + j) % s.Spec.Width()
+	for j := range out {
+		out[j] = s.ParityHolder(stripe, j)
 	}
 	return out
 }

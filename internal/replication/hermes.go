@@ -12,6 +12,7 @@ package replication
 
 import (
 	"fmt"
+	"slices"
 )
 
 // State is the per-key replica state.
@@ -260,22 +261,40 @@ func (n *Node) AddPeer(peer int) {
 	n.peers = append(n.peers, peer)
 }
 
+// Pending returns how many of the node's writes await acks
+// (introspection, tests).
+func (n *Node) Pending() int { return len(n.pending) }
+
 // Peers returns the node's current peer group (introspection, tests).
 func (n *Node) Peers() []int { return append([]int(nil), n.peers...) }
 
 // Rejoin resets the node's per-key replica state and in-flight writes
 // while keeping its identity, peer list, and Lamport clock: the model
 // of a revived server whose DRAM and flash are gone rejoining the
-// group empty. Superseded in-flight writes release their callbacks so
-// no client waits on a commit that can never happen.
+// group empty. Superseded in-flight writes release their callbacks, in
+// LPN order, so no client waits on a commit that can never happen.
 func (n *Node) Rejoin() {
-	for _, pw := range n.pending {
-		if pw.onCommit != nil {
+	for _, lpn := range pendingLPNs(n.pending) {
+		if pw, ok := n.pending[lpn]; ok && pw.onCommit != nil {
 			pw.onCommit.Committed()
 		}
 	}
 	n.keys = make(map[uint32]keyState)
 	n.pending = make(map[uint32]*pendingWrite)
+}
+
+// pendingLPNs returns the keys of pending in ascending order. Settling
+// in-flight writes fires their commit callbacks, which respond to
+// clients — scheduling events and drawing latency from the simulation's
+// RNG — so a group change must settle them in an order that does not
+// depend on map iteration.
+func pendingLPNs(pending map[uint32]*pendingWrite) []uint32 {
+	lpns := make([]uint32, 0, len(pending))
+	for lpn := range pending {
+		lpns = append(lpns, lpn)
+	}
+	slices.Sort(lpns)
+	return lpns
 }
 
 // RemovePeer degrades the group after peer death: in-flight writes stop
@@ -290,11 +309,12 @@ func (n *Node) RemovePeer(dead int) {
 		}
 	}
 	n.peers = kept
-	for lpn, pw := range n.pending {
-		if pw.ack(dead) {
-			if len(pw.awaiting) == 0 {
-				n.commit(lpn, pw)
-			}
+	for _, lpn := range pendingLPNs(n.pending) {
+		// An earlier commit's callback may have settled or replaced
+		// this write; only the one still pending is acked.
+		pw, ok := n.pending[lpn]
+		if ok && pw.ack(dead) && len(pw.awaiting) == 0 {
+			n.commit(lpn, pw)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -260,5 +261,32 @@ func TestRemovePeerThreeNodeGroup(t *testing.T) {
 	g.drain()
 	if !committed {
 		t.Fatal("write never committed with the surviving follower")
+	}
+}
+
+// TestGroupChangeSettlesInLPNOrder pins the order RemovePeer and Rejoin
+// fire pending commit callbacks in: ascending LPN, never map order, so a
+// simulation that responds to clients from those callbacks stays
+// deterministic.
+func TestGroupChangeSettlesInLPNOrder(t *testing.T) {
+	lpns := []uint32{17, 3, 42, 8, 25, 1, 33, 12, 30, 5, 21, 9}
+	want := slices.Clone(lpns)
+	slices.Sort(want)
+	for _, change := range []struct {
+		name  string
+		apply func(*Node)
+	}{
+		{"RemovePeer", func(n *Node) { n.RemovePeer(1) }},
+		{"Rejoin", func(n *Node) { n.Rejoin() }},
+	} {
+		g := NewGroup(2)
+		var got []uint32
+		for _, lpn := range lpns {
+			g.Nodes[0].Write(lpn, CommitFunc(func() { got = append(got, lpn) }))
+		}
+		change.apply(g.Nodes[0])
+		if !slices.Equal(got, want) {
+			t.Errorf("%s settled LPNs %v, want %v", change.name, got, want)
+		}
 	}
 }

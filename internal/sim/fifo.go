@@ -22,6 +22,13 @@ func (q *FIFO[T]) Push(v T) {
 	q.items = append(q.items, v)
 }
 
+// Len returns the number of queued items.
+func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
+
+// Peek returns the oldest item without removing it; the queue must be
+// non-empty.
+func (q *FIFO[T]) Peek() T { return q.items[q.head] }
+
 // Pop removes and returns the oldest item; the queue must be non-empty.
 func (q *FIFO[T]) Pop() T {
 	var zero T

@@ -34,3 +34,36 @@ func TestFIFOOrderAcrossCompaction(t *testing.T) {
 		t.Fatalf("push into a drained queue kept head %d, len %d; want reuse from 0", q.head, len(q.items))
 	}
 }
+
+// TestFIFOLenPeekAcrossWrap checks Len and Peek as the queue drains to
+// empty and is reused from the front of its backing array, and that a
+// popped slot drops its reference.
+func TestFIFOLenPeekAcrossWrap(t *testing.T) {
+	var q FIFO[*int]
+	vals := make([]int, 8)
+	for round := 0; round < 3; round++ {
+		for i := range vals {
+			q.Push(&vals[i])
+			if q.Len() != i+1 {
+				t.Fatalf("round %d: Len %d after %d pushes", round, q.Len(), i+1)
+			}
+		}
+		for i := range vals {
+			if q.Peek() != &vals[i] {
+				t.Fatalf("round %d: Peek is not item %d", round, i)
+			}
+			if q.Pop() != &vals[i] {
+				t.Fatalf("round %d: Pop is not item %d", round, i)
+			}
+			if q.items[q.head-1] != nil {
+				t.Fatalf("round %d: popped slot %d still holds its item", round, i)
+			}
+		}
+		if q.Len() != 0 {
+			t.Fatalf("round %d: Len %d after draining", round, q.Len())
+		}
+	}
+	if cap(q.items) > 16 {
+		t.Fatalf("backing array grew to %d for 8 live items", cap(q.items))
+	}
+}

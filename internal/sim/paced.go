@@ -21,16 +21,40 @@ type PacedBandwidth struct {
 	// starving.
 	tokens float64
 	last   Time
-	queue  []pacedGrant
+	queue  FIFO[pacedGrant]
 	// wake invalidates scheduled refill wakeups after a SetRate, which
-	// changes when the head admission's tokens mature.
+	// changes when the head admission's tokens mature. A stale wakeup
+	// still fires (and is counted as paced.wake) but grants nothing.
 	wake    uint64
 	pumping bool
+	// wakeLabel is paced.wake, interned once; freeWakes recycles wakeup
+	// events, growing lazily to the most wakeups ever outstanding.
+	wakeLabel Label
+	freeWakes *pacedWake
 }
 
 type pacedGrant struct {
 	bytes int64
-	grant func(now Time)
+	grant Handler
+}
+
+// pacedWake is one scheduled refill wakeup, valid while gen matches the
+// lane's wake generation.
+type pacedWake struct {
+	p    *PacedBandwidth
+	gen  uint64
+	next *pacedWake // free-list link
+}
+
+// Fire recycles the wakeup, then pumps the queue unless a SetRate has
+// superseded it.
+func (w *pacedWake) Fire(Time) {
+	p, gen := w.p, w.gen
+	*w = pacedWake{next: p.freeWakes}
+	p.freeWakes = w
+	if gen == p.wake {
+		p.pump()
+	}
 }
 
 // NewPacedBandwidth returns a paced lane over link with the given token
@@ -43,11 +67,12 @@ func NewPacedBandwidth(eng *Engine, link *Bandwidth, rateBytesPerSec, burstBytes
 		panic("sim: paced bandwidth burst must be positive")
 	}
 	return &PacedBandwidth{
-		eng:    eng,
-		link:   link,
-		rate:   rateBytesPerSec,
-		burst:  burstBytes,
-		tokens: burstBytes,
+		eng:       eng,
+		link:      link,
+		rate:      rateBytesPerSec,
+		burst:     burstBytes,
+		tokens:    burstBytes,
+		wakeLabel: eng.Intern("paced.wake"),
 	}
 }
 
@@ -55,7 +80,7 @@ func NewPacedBandwidth(eng *Engine, link *Bandwidth, rateBytesPerSec, burstBytes
 func (p *PacedBandwidth) Rate() float64 { return p.rate }
 
 // Queued returns the admissions waiting for tokens.
-func (p *PacedBandwidth) Queued() int { return len(p.queue) }
+func (p *PacedBandwidth) Queued() int { return p.queue.Len() }
 
 // SetRate retunes the token refill rate. Credit accrued so far is settled
 // at the old rate first; a pending wakeup for the head admission is
@@ -70,18 +95,19 @@ func (p *PacedBandwidth) SetRate(rateBytesPerSec float64) {
 	p.pump()
 }
 
-// Admit queues one admission of bytes and calls grant when the bucket
+// Admit queues one admission of bytes and fires grant when the bucket
 // has matured enough tokens, FIFO after earlier admissions. The grant
-// callback typically starts the actual link transfer (or device work)
-// the tokens gate.
-func (p *PacedBandwidth) Admit(bytes int64, grant func(now Time)) {
+// typically starts the actual link transfer (or device work) the tokens
+// gate; it runs inside Admit when credit is already there, so a typed
+// grant event must be ready to fire before Admit is called.
+func (p *PacedBandwidth) Admit(bytes int64, grant Handler) {
 	if grant == nil {
 		panic("sim: nil paced grant")
 	}
 	if bytes < 0 {
 		panic("sim: negative paced admission")
 	}
-	p.queue = append(p.queue, pacedGrant{bytes: bytes, grant: grant})
+	p.queue.Push(pacedGrant{bytes: bytes, grant: grant})
 	p.pump()
 }
 
@@ -107,7 +133,7 @@ func (p *PacedBandwidth) Consume(deltaBytes int64) {
 // may be nil). The completion time is unknowable before admission, so
 // unlike Bandwidth.Transfer it is reported only as done's now.
 func (p *PacedBandwidth) Transfer(bytes int64, done Handler) {
-	p.Admit(bytes, func(Time) { p.link.Transfer(bytes, done) })
+	p.Admit(bytes, EventFunc(func(Time) { p.link.Transfer(bytes, done) }))
 }
 
 // refill matures tokens up to now at the current rate, capped at burst.
@@ -131,10 +157,10 @@ func (p *PacedBandwidth) pump() {
 	}
 	p.pumping = true
 	defer func() { p.pumping = false }()
-	for len(p.queue) > 0 {
+	for p.queue.Len() > 0 {
 		now := p.eng.Now()
 		p.refill(now)
-		head := p.queue[0]
+		head := p.queue.Peek()
 		// An admission larger than the bucket is granted at full burst
 		// and drives tokens negative (paid back by refill) — otherwise
 		// it could never be granted at all.
@@ -145,16 +171,18 @@ func (p *PacedBandwidth) pump() {
 		if p.tokens < need {
 			wait := Time((need-p.tokens)/p.rate*float64(Second)) + 1
 			p.wake++
-			gen := p.wake
-			p.eng.AfterNamed(wait, "paced.wake", func(Time) {
-				if gen == p.wake {
-					p.pump()
-				}
-			})
+			w := p.freeWakes
+			if w == nil {
+				w = new(pacedWake)
+			} else {
+				p.freeWakes = w.next
+			}
+			*w = pacedWake{p: p, gen: p.wake}
+			p.eng.AfterHandler(wait, p.wakeLabel, w)
 			return
 		}
 		p.tokens -= float64(head.bytes)
-		p.queue = p.queue[1:]
-		head.grant(now)
+		p.queue.Pop()
+		head.grant.Fire(now)
 	}
 }

@@ -11,11 +11,11 @@ func TestPacedAdmitRespectsRate(t *testing.T) {
 	p := NewPacedBandwidth(eng, link, 1e6, 1000) // 1 MB/s refill, 1000-byte bucket
 
 	// Drain the initial burst so the grant spacing is purely rate-driven.
-	p.Admit(1000, func(Time) {})
+	p.Admit(1000, EventFunc(func(Time) {}))
 
 	var grants []Time
 	for i := 0; i < 3; i++ {
-		p.Admit(1000, func(now Time) { grants = append(grants, now) })
+		p.Admit(1000, EventFunc(func(now Time) { grants = append(grants, now) }))
 	}
 	eng.Run()
 	// 1000 bytes at 1 MB/s = 1ms of refill per admission (+1ns rounding).
@@ -39,12 +39,12 @@ func TestPacedBurstGrantsImmediately(t *testing.T) {
 
 	granted := 0
 	for i := 0; i < 4; i++ {
-		p.Admit(1000, func(now Time) {
+		p.Admit(1000, EventFunc(func(now Time) {
 			if now != 0 {
 				t.Errorf("burst admission granted at %d, want 0", now)
 			}
 			granted++
-		})
+		}))
 	}
 	if granted != 4 {
 		t.Fatalf("granted %d of 4 burst admissions synchronously", granted)
@@ -60,8 +60,8 @@ func TestPacedOversizedAdmissionProgresses(t *testing.T) {
 	p := NewPacedBandwidth(eng, link, 1e6, 500) // bucket holds 500, admission wants 2000
 
 	var grantedAt Time = -1
-	p.Admit(1000, func(Time) {}) // spends the initial 500 and goes 500 into debt
-	p.Admit(2000, func(now Time) { grantedAt = now })
+	p.Admit(1000, EventFunc(func(Time) {})) // spends the initial 500 and goes 500 into debt
+	p.Admit(2000, EventFunc(func(now Time) { grantedAt = now }))
 	eng.Run()
 	if grantedAt < 0 {
 		t.Fatal("oversized admission never granted")
@@ -82,10 +82,10 @@ func TestPacedSetRateRetunesPendingGrant(t *testing.T) {
 	eng := NewEngine()
 	link := NewBandwidth(eng, 100e6)
 	p := NewPacedBandwidth(eng, link, 1e6, 1000)
-	p.Admit(1000, func(Time) {}) // empty the bucket
+	p.Admit(1000, EventFunc(func(Time) {})) // empty the bucket
 
 	var grantedAt Time = -1
-	p.Admit(1000, func(now Time) { grantedAt = now })
+	p.Admit(1000, EventFunc(func(now Time) { grantedAt = now }))
 
 	// At 0.5ms (500 bytes matured), crank the rate 10x: the remaining 500
 	// bytes mature in 0.05ms instead of 0.5ms.
@@ -110,11 +110,11 @@ func TestPacedConsumeSettlesDebtAndRefund(t *testing.T) {
 	p := NewPacedBandwidth(eng, link, 1e6, 1000) // 1 MB/s, 1000-byte bucket
 
 	var first, second Time = -1, -1
-	p.Admit(1000, func(now Time) {
+	p.Admit(1000, EventFunc(func(now Time) {
 		first = now
 		p.Consume(2000) // the grant actually moved 3000 bytes, not 1000
-	})
-	p.Admit(1000, func(now Time) { second = now })
+	}))
+	p.Admit(1000, EventFunc(func(now Time) { second = now }))
 	eng.Run()
 	if first != 0 {
 		t.Fatalf("first grant at %d, want 0 (full bucket)", first)
@@ -127,7 +127,7 @@ func TestPacedConsumeSettlesDebtAndRefund(t *testing.T) {
 
 	// Refund: a waiting admission matures as soon as credit is returned.
 	var third Time = -1
-	p.Admit(1000, func(now Time) { third = now })
+	p.Admit(1000, EventFunc(func(now Time) { third = now }))
 	at := eng.Now() + 100*Microsecond
 	eng.At(at, func(Time) { p.Consume(-1000) })
 	eng.Run()
@@ -177,5 +177,32 @@ func TestPacedRejectsBadConfig(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestPacedStaleWakeupFiresAndGrantsNothing pins the wakeup generation
+// check: a SetRate mid-wait supersedes the scheduled wakeup, which still
+// fires at its old instant (and is counted as paced.wake) but neither
+// grants nor schedules another; the admission is granted once, at the
+// instant the new rate matures it.
+func TestPacedStaleWakeupFiresAndGrantsNothing(t *testing.T) {
+	eng := NewEngine()
+	link := NewBandwidth(eng, 100e6)
+	p := NewPacedBandwidth(eng, link, 1e6, 1000)
+	p.Admit(1000, EventFunc(func(Time) {})) // empty the bucket
+
+	var grants []Time
+	p.Admit(1000, EventFunc(func(now Time) { grants = append(grants, now) }))
+	// The wakeup for ~1ms is now stale: at 0.5ms 500 bytes have matured
+	// and the remaining 500 take 1ms more at the halved rate.
+	eng.At(500*Microsecond, func(Time) { p.SetRate(0.5e6) })
+	eng.Run()
+	want := 1500 * Microsecond
+	if len(grants) != 1 || grants[0] < want || grants[0] > want+2 {
+		t.Fatalf("grants at %v, want one at ~%d", grants, want)
+	}
+	// One stale wakeup at ~1ms plus the fresh one that granted.
+	if got := eng.ProcessedBy()["paced.wake"]; got != 2 {
+		t.Errorf("paced.wake fired %d times, want 2 (stale + fresh)", got)
 	}
 }

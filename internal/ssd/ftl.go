@@ -3,6 +3,7 @@ package ssd
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"rackblox/internal/flash"
 )
@@ -40,6 +41,7 @@ type chipAlloc struct {
 type FTL struct {
 	dev          *Device
 	chips        []*chipAlloc
+	channels     []int       // distinct channels of chips, first-seen order
 	mapping      []int       // LPN -> global PPN, -1 when unmapped
 	reverse      map[int]int // global PPN -> LPN
 	nextChip     int         // round-robin allocation cursor
@@ -81,6 +83,9 @@ func NewFTL(dev *Device, chips []ChipRef, utilization float64) (*FTL, error) {
 			ca.isFree[b] = true
 		}
 		f.chips = append(f.chips, ca)
+		if !slices.Contains(f.channels, c.Channel) {
+			f.channels = append(f.channels, c.Channel)
+		}
 	}
 	raw := len(chips) * geo.BlocksPerChip * geo.PagesPerBlock
 	f.logicalPages = int(float64(raw) * utilization)
@@ -106,18 +111,11 @@ func (f *FTL) Chips() []ChipRef {
 	return refs
 }
 
-// Channels returns the distinct channels the FTL's chips live on.
-func (f *FTL) Channels() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, c := range f.chips {
-		if !seen[c.ref.Channel] {
-			seen[c.ref.Channel] = true
-			out = append(out, c.ref.Channel)
-		}
-	}
-	return out
-}
+// Channels returns the distinct channels the FTL's chips live on, in
+// first-seen chip order. The chip set is fixed at NewFTL, so this is
+// computed once there; the slice is shared and callers must not modify
+// it.
+func (f *FTL) Channels() []int { return f.channels }
 
 // LogicalPages returns the exported logical page count.
 func (f *FTL) LogicalPages() int { return f.logicalPages }

@@ -88,7 +88,8 @@ func NewSoftwareIsolated(dev *ssd.Device, id uint32, chips []ssd.ChipRef, utiliz
 	}, nil
 }
 
-// Channels returns the flash channels the vSSD's chips live on.
+// Channels returns the flash channels the vSSD's chips live on (the
+// FTL's shared slice; read-only).
 func (v *VSSD) Channels() []int { return v.FTL.Channels() }
 
 // Admit applies software-isolation rate limiting: it returns the time at

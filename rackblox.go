@@ -290,18 +290,25 @@
 //	go build -o rackvet ./cmd/rackvet
 //	go vet -vettool=$(pwd)/rackvet ./...
 //
-// One further rule is kept by a test rather than an analyzer: hot-path
-// events are typed handlers, and closures are for cold paths. Each stage
-// a foreground request crosses — client issue, packet hops, the switch
-// pipeline, the server pump, DRAM and flash completions, the Hermes
-// round — is a sim.Handler that captures nothing (the object itself, or
-// an event recycled through a per-Rack or per-Switch free list) and is
+// One further rule is kept by tests rather than an analyzer: datapath
+// and repair events are typed handlers, and closures are for cold paths.
+// Each stage a foreground request crosses — client issue, packet hops,
+// the switch pipeline, the server pump, DRAM and flash completions, the
+// Hermes round — and each step of the background work beside it — a
+// degraded read's chunk fetches and decode, the repair pump, pacer
+// grants and ticks, paced-lane wakeups, a repair batch's completion —
+// is a sim.Handler that captures nothing (the object itself, or an event
+// recycled through a per-Rack, per-Switch or per-lane free list) and is
 // scheduled under a Label interned once. A closure per hop would
-// allocate per request; TestDatapathSteadyStateAllocs (internal/core)
-// pins a warm rack's foreground read and write at one allocation each,
-// the request's own state, and TestEngineSteadyStateAllocs
-// (internal/sim) pins the engine itself at zero. Closures (AtNamed with
-// a func literal) remain for failures, repair, and control-plane timers.
+// allocate per request; TestDatapathSteadyStateAllocs and
+// TestECSteadyStateAllocs (internal/core) pin a warm rack's foreground
+// read and write, replicated or erasure-coded, at one allocation each,
+// the request's own state; TestRepairPathAllocs bounds a whole
+// crash-revive-crash repair run at a few mallocs per request; and
+// TestEngineSteadyStateAllocs (internal/sim) pins the engine itself at
+// zero. Closures (AtNamed with a func literal) remain only for cold
+// paths: failures, re-integration, scenario timers and the GC control
+// plane's per-episode messages.
 //
 // Each directive escape hatch is a reviewed assertion, not a
 // suppression: the rationale text after the directive name is required
