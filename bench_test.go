@@ -7,11 +7,9 @@ package rackblox
 // cmd/rackbench runs the same sweeps at full scale.
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
-	"rackblox/internal/core"
 	"rackblox/internal/experiments"
 )
 
@@ -176,36 +174,6 @@ func BenchmarkDegradedReadPostRepair(b *testing.B) {
 // in internal/experiments).
 func BenchmarkScenarioDriver(b *testing.B) {
 	runExperiment(b, "figsc", "vs_healthy")
-}
-
-// BenchmarkShardedSoak drives the sharded soak model (the figsh
-// workload) in parallel mode at 1..16 rack shards, putting the shard
-// scheduler's hot path — window computation, mailbox merge, worker
-// barrier — on the benchmark trajectory. events/op reports the model's
-// deterministic event count per benchmark iteration; wall-clock scaling
-// across the sub-benchmarks is bounded by GOMAXPROCS, so compare shard
-// counts only on multi-core hosts. The sequential path keeps its alloc
-// gate via BenchmarkSingleRackRun; this benchmark deliberately does not
-// assert allocations, since per-shard queues scale with the rack count.
-func BenchmarkShardedSoak(b *testing.B) {
-	for _, racks := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("racks=%d", racks), func(b *testing.B) {
-			cfg := core.ShardedClusterConfig{
-				Racks:             racks,
-				ServersPerRack:    64,
-				ChainsPerRack:     64,
-				OpsPerRack:        20_000,
-				CrossRackPermille: 20,
-				Seed:              1,
-			}
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				res := core.RunShardedCluster(cfg, true)
-				events = res.Events
-			}
-			b.ReportMetric(float64(events), "events/op")
-		})
-	}
 }
 
 // BenchmarkRepairPacer regenerates figslo, the SLO-aware repair pacing

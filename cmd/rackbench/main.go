@@ -13,7 +13,6 @@
 //	rackbench -exp figsc -json auto
 //	rackbench -exp figslo -repair-slo 5ms
 //	rackbench -exp figra -json auto
-//	rackbench -exp figsh
 //	rackbench -redundancy lrc4,2
 //	rackbench -scenario "failrack:0@300ms,revive-server:2@600ms"
 //	rackbench -scenario "fail-server:0@120ms" -repair-slo 4ms
@@ -50,11 +49,7 @@
 // parity chunk per rack: single-server losses repair inside the rack
 // with zero spine bytes, and multi-loss repair ships one aggregated
 // chunk per remote rack instead of k raw chunks, finishing sooner under
-// the same -repair-slo target. figsh benchmarks the sharded simulation
-// runner itself: the soak model at 1..16 rack shards, sequential oracle
-// vs parallel shards, reporting wall-clock speedup and a per-row
-// identical flag confirming byte-identical results (its wall_* and
-// speedup columns are host measurements, not simulation output).
+// the same -repair-slo target.
 // -json FILE writes every produced table as machine-readable JSON
 // ("auto" derives a BENCH_<exp>.json name), so successive runs can be
 // diffed to track the performance trajectory. The report carries a

@@ -1,12 +1,11 @@
 // Command rackvet machine-checks the simulator's five core invariants:
 //
-//	simdeterminism      — no order-sensitive map iteration, global math/rand,
-//	                      or goroutines in simulation packages
+//	simdeterminism      — no order-sensitive map iteration or global math/rand
+//	                      in simulation packages
 //	simtime             — no wall-clock reads where sim logic runs
 //	eventlabel          — every scheduled event carries a stable handler label
 //	observerpure        — trace/stats observers never perturb the run they watch
-//	goroutinediscipline — `go` statements only in the shard runner
-//	                      (internal/sim shardrun.go), nowhere else in internal/
+//	goroutinediscipline — no `go` statement in non-test code under internal/
 //
 // Two modes share the same analyzers:
 //

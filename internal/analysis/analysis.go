@@ -164,20 +164,6 @@ func (p *Pass) CheckDirectiveRationales(name string) {
 	}
 }
 
-// InShardRunnerFile reports whether pos lies in the simulator's shard
-// runner — internal/sim's shardrun.go, the single file sanctioned to
-// spawn goroutines (the worker-per-shard pool behind ShardGroup.Run).
-func (p *Pass) InShardRunnerFile(pos token.Pos) bool {
-	if !PkgPathIs(p.Pkg, "rackblox/internal/sim") {
-		return false
-	}
-	name := p.Fset.Position(pos).Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return name == "shardrun.go"
-}
-
 // Callee resolves a call expression to the *types.Func it invokes
 // (a declared function or method), or nil for calls through function
 // values, conversions, and builtins.

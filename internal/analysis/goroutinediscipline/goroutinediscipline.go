@@ -1,23 +1,17 @@
-// Package goroutinediscipline implements the rackvet analyzer that pins
-// where concurrency may enter the simulator.
+// Package goroutinediscipline implements the rackvet analyzer that keeps
+// concurrency out of the simulator.
 //
-// The sharded runner (sim.ShardGroup.Run) executes one goroutine per
-// rack shard, and its byte-identity-to-sequential guarantee rests on a
-// structural argument: within a window each worker touches only its own
-// shard's state, and every cross-shard effect rides the deterministic
-// mailbox merge at the barrier. That argument holds precisely because
-// the worker pool in internal/sim's shardrun.go is the ONLY place
-// goroutines exist — a `go` statement anywhere else in internal/ would
-// reintroduce scheduler interleaving the replay tests cannot see until
-// it has already corrupted a result.
+// Every run executes on one single-threaded sim.Engine, and bit-exact
+// replay rests on that: events fire in (time, sequence) order and
+// nothing else runs beside them. A `go` statement anywhere in internal/
+// would reintroduce scheduler interleaving the replay tests cannot see
+// until it has already corrupted a result.
 //
-// Unlike simdeterminism (which guards the event-path packages), this
-// check covers all of internal/: observers, codecs, and tooling helpers
-// are called from the event path, so none of them may smuggle in
-// concurrency either. Tests are exempt — they own their goroutines and
-// the race detector watches them. There is deliberately no directive
-// escape hatch: new concurrency belongs in the shard runner or not in
-// the tree.
+// The check covers all of internal/, not only the event-path packages:
+// observers, codecs, and tooling helpers are called from the event path,
+// so none of them may smuggle in concurrency either. Tests are exempt —
+// they own their goroutines and the race detector watches them. There
+// is deliberately no directive escape hatch and no sanctioned file.
 package goroutinediscipline
 
 import (
@@ -27,11 +21,11 @@ import (
 	"rackblox/internal/analysis"
 )
 
-// Analyzer restricts `go` statements to the shard-runner file.
+// Analyzer rejects `go` statements in non-test code under internal/.
 var Analyzer = &analysis.Analyzer{
 	Name: "goroutinediscipline",
-	Doc: "restrict `go` statements to the shard runner (internal/sim shardrun.go); " +
-		"anywhere else in internal/ goroutine interleaving breaks bit-exact replay",
+	Doc: "forbid `go` statements in non-test code under internal/: " +
+		"the simulator is single-threaded and goroutine interleaving breaks bit-exact replay",
 	Applies: applies,
 	Run:     run,
 }
@@ -46,17 +40,11 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
+			if g, ok := n.(*ast.GoStmt); ok {
+				pass.Reportf(g.Pos(),
+					"goroutine spawned in internal/: the simulator is single-threaded; "+
+						"goroutine interleaving breaks bit-exact replay")
 			}
-			if pass.InShardRunnerFile(g.Pos()) {
-				return true
-			}
-			pass.Reportf(g.Pos(),
-				"goroutine spawned outside the shard runner: only internal/sim's shardrun.go "+
-					"may introduce concurrency (the window-barrier pool behind ShardGroup.Run); "+
-					"everywhere else interleaving breaks bit-exact replay")
 			return true
 		})
 	}

@@ -7,10 +7,10 @@ import (
 	"rackblox/internal/analysis/goroutinediscipline"
 )
 
-// TestGoroutineDiscipline exercises the one sanctioned concurrency site
-// (internal/sim's shardrun.go, no finding), `go` statements elsewhere in
-// internal/ (findings, including inside nested closures), and the
-// _test.go allowlist.
+// TestGoroutineDiscipline exercises `go` statements in internal/sim,
+// including a worker-pool file (findings: the engine package has no
+// sanctioned file), in another internal package (findings, including
+// inside nested closures), and the _test.go allowlist.
 func TestGoroutineDiscipline(t *testing.T) {
 	analysistest.Run(t, goroutinediscipline.Analyzer,
 		"rackblox/internal/sim",

@@ -1,18 +1,16 @@
 // Package demo is a goroutinediscipline fixture: an internal package
-// outside internal/sim, where every `go` statement is a finding — even
-// a file named shardrun.go, since the carve-out is the sim package's
-// runner specifically, not a filename convention.
+// outside internal/sim, where every `go` statement is a finding.
 package demo
 
 func fansOut(work []func()) {
 	for _, w := range work {
-		go w() // want "goroutine spawned outside the shard runner"
+		go w() // want "goroutine spawned in internal/"
 	}
 }
 
 func nestedSpawn(done chan struct{}) {
 	helper := func() {
-		go func() { close(done) }() // want "goroutine spawned outside the shard runner"
+		go func() { close(done) }() // want "goroutine spawned in internal/"
 	}
 	helper()
 }

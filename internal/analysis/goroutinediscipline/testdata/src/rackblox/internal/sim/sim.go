@@ -1,14 +1,13 @@
-// Package sim is a goroutinediscipline fixture: the shard-runner file
-// (shardrun.go) is the one sanctioned concurrency site; a goroutine in
-// any other file of the same package is still a finding.
+// Package sim is a goroutinediscipline fixture: the engine package gets
+// no exemption, in any of its files.
 package sim
 
 // Time is virtual simulation time in nanoseconds.
 type Time int64
 
-// RunUntil is a stand-in for the engine's window execution.
+// RunUntil is a stand-in for the engine's run loop.
 func RunUntil(end Time) {}
 
 func sneaksConcurrencyIntoTheEnginePackage(done chan struct{}) {
-	go func() { close(done) }() // want "goroutine spawned outside the shard runner"
+	go func() { close(done) }() // want "goroutine spawned in internal/"
 }

@@ -4,7 +4,7 @@
 // The whole experimental methodology rests on runs replaying exactly:
 // the replay tests and the wheel-vs-heap differential oracle compare
 // Results byte for byte, and the flight recorder's observer-only
-// guarantee is stated as byte-identity too. Three code shapes can break
+// guarantee is stated as byte-identity too. Two code shapes can break
 // that silently, and Go makes one of them actively treacherous:
 //
 //   - Map iteration: Go randomizes map range order per iteration, so a
@@ -19,8 +19,10 @@
 //     global stream (seeded or not), so one component's draw count
 //     perturbs every other component. Components fork seeded sim.RNG
 //     streams instead.
-//   - Goroutines: the engine is single-threaded by design; a goroutine
-//     on the event path reintroduces scheduler nondeterminism.
+//
+// Goroutines, the third way to lose replay, are goroutinediscipline's
+// check: it rejects every `go` statement under internal/, a superset of
+// this analyzer's packages.
 //
 // Reachability is intra-package: a map-range body that calls a local
 // function reaching a sink (transitively, to a fixed point) is flagged
@@ -40,8 +42,8 @@ import (
 // Analyzer flags nondeterministic constructs in simulation packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "simdeterminism",
-	Doc: "flag order-sensitive map iteration, global math/rand, and goroutine spawns " +
-		"in simulation packages (//rackvet:commutative for order-insensitive map bodies)",
+	Doc: "flag order-sensitive map iteration and global math/rand in simulation packages " +
+		"(//rackvet:commutative for order-insensitive map bodies)",
 	Applies: applies,
 	Run:     run,
 }
@@ -158,16 +160,6 @@ func run(pass *analysis.Pass) error {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.GoStmt:
-				// The shard runner is the sanctioned exception: its
-				// worker-per-shard pool is what lets ShardGroup.Run stay
-				// byte-identical to RunSequential (goroutinediscipline
-				// carries the same carve-out).
-				if !pass.InShardRunnerFile(n.Pos()) {
-					pass.Reportf(n.Pos(),
-						"goroutine spawn in simulation code: the engine is single-threaded; "+
-							"goroutine interleaving breaks bit-exact replay")
-				}
 			case *ast.CallExpr:
 				if fn := c.globalRand(n); fn != nil {
 					pass.Reportf(n.Pos(),

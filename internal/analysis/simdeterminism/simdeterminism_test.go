@@ -11,8 +11,8 @@ import (
 // writes, observer calls, RNG draws), transitive reachability through
 // local helpers, the //rackvet:commutative escape hatch (including the
 // bare-directive finding), slice-range and commutative-body
-// non-findings, global math/rand, goroutine spawns (with the shardrun.go
-// carve-out), the _test.go allowlist, and the package-scope perimeter.
+// non-findings, global math/rand, the _test.go allowlist, and the
+// package-scope perimeter.
 func TestSimdeterminism(t *testing.T) {
 	analysistest.Run(t, simdeterminism.Analyzer,
 		"rackblox/internal/core",

@@ -1,7 +1,7 @@
 // Package core is a simdeterminism fixture: map-range bodies reaching a
-// determinism sink (directly or through local calls), global math/rand,
-// and goroutine spawns are findings; commutative bodies and annotated
-// ranges are not.
+// determinism sink (directly or through local calls) and global
+// math/rand are findings; commutative bodies and annotated ranges are
+// not.
 package core
 
 import (
@@ -113,10 +113,6 @@ func reseedsGlobal() {
 // Constructing explicit generators is the sanctioned pattern.
 func forksGenerator() *rand.Rand {
 	return rand.New(rand.NewSource(1))
-}
-
-func spawns(done chan struct{}) {
-	go func() { close(done) }() // want "goroutine spawn in simulation code"
 }
 
 // A bare directive still suppresses the range finding, but is itself a

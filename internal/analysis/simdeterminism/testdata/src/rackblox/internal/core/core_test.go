@@ -1,5 +1,5 @@
-// Test files may iterate maps, spawn goroutines, and use the global
-// stream freely. No want comments.
+// Test files may iterate maps and use the global stream freely. No want
+// comments.
 package core
 
 import (
@@ -12,6 +12,5 @@ func helperForTests(eng *sim.Engine, m map[int]sim.Time) {
 	for _, d := range m {
 		eng.AfterNamed(d, "test.helper", func(sim.Time) {})
 	}
-	go func() {}()
 	_ = rand.Intn(2)
 }

@@ -129,7 +129,7 @@ type RepairPacer struct {
 // The rate starts at the floor: repair ramps up additively while the
 // foreground tail stays under target, rather than opening at full blast
 // and violating the SLO before the first feedback lands.
-func newRepairPacer(eng *sim.Engine, spine *sim.Bandwidth, cfg *Config) *RepairPacer {
+func newRepairPacer(eng *sim.Engine, cfg *Config) *RepairPacer {
 	slo := cfg.RepairSLO.withDefaults(cfg.CrossRackMBps)
 	p := &RepairPacer{
 		slo:      slo,
@@ -141,7 +141,7 @@ func newRepairPacer(eng *sim.Engine, spine *sim.Bandwidth, cfg *Config) *RepairP
 	// largest claim after an idle stretch, small enough that a burst
 	// cannot occupy the spine for more than one batch's worth.
 	burst := float64(repairBatchStripes * cfg.Geometry.PageSize)
-	p.lane = sim.NewPacedBandwidth(eng, spine, p.rateMBps*1e6, burst)
+	p.lane = sim.NewPacedBandwidth(eng, p.rateMBps*1e6, burst)
 	p.timeline = append(p.timeline, RatePoint{At: 0, MBps: p.rateMBps})
 	return p
 }

@@ -134,10 +134,9 @@ func (st *reqState) decInflight() {
 // single-rack testbed.
 type Rack struct {
 	cfg Config
-	// eng is the one engine the whole rack runs on: the per-I/O
-	// datapath of every rack, the spine boundary, and the scenario
-	// driver. The parallel per-rack shards exist only in the separate
-	// soak model (shardsim.go).
+	// eng is the one single-threaded engine the whole rack runs on: the
+	// per-I/O datapath of every rack, the spine boundary, and the
+	// scenario driver.
 	eng *sim.Engine
 	// lbl holds the datapath and repair event labels; freeHops, freeIO
 	// and freeReqs recycle the packet and server-step events in flight
@@ -260,7 +259,7 @@ func NewRack(cfg Config) (*Rack, error) {
 	r.perRackReqs = make([]int64, r.cluster.racks)
 	if cfg.RepairSLO.Enabled() {
 		// Validate guarantees Racks > 1, so the spine exists.
-		r.pacer = newRepairPacer(r.eng, r.cluster.spine.Link(), &cfg)
+		r.pacer = newRepairPacer(r.eng, &cfg)
 	}
 
 	// Servers, rack by rack: server i lives in rack i/StorageServers and

@@ -12,8 +12,9 @@ import (
 // rack — ToR handoffs, Hermes replication messages, degraded-read chunk
 // fetches, repair batches, re-integration updates — pays the spine here,
 // never by reaching into another rack's objects. The boundary is kept
-// explicit so the datapath can later be split into per-rack shards: the
-// spine is the only state cross-rack interactions may share.
+// explicit because it is the rack model's one split — intra-rack versus
+// cross-rack traffic: the spine is the only state cross-rack
+// interactions may share.
 //
 // With one rack the spine degenerates to the paper's testbed: no link
 // (nil), zero latency, every meter call free.
@@ -96,11 +97,6 @@ func (s *Spine) Latency(a, b int) sim.Time {
 // Propagation returns the unconditional cross-rack propagation latency —
 // the Latency(a, b) value for any a != b.
 func (s *Spine) Propagation() sim.Time { return s.latency }
-
-// Link exposes the metered bandwidth object (nil with one rack) for
-// components that share the spine's capacity directly, like the repair
-// pacer.
-func (s *Spine) Link() *sim.Bandwidth { return s.link }
 
 // frameHeaderBytes is the header cost every metered spine frame pays.
 const frameHeaderBytes = 64

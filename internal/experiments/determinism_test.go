@@ -50,7 +50,7 @@ func TestDeterministicReplay(t *testing.T) {
 
 // benchFile is the checked-in rackbench -json report whose tables every
 // deterministic registry entry must still reproduce.
-const benchFile = "../../BENCH_figec_figmr_figrl_figsc_figslo_figra_figsh.json"
+const benchFile = "../../BENCH_figec_figmr_figrl_figsc_figslo_figra.json"
 
 // TestBenchTablesUnchanged regenerates every deterministic registry
 // entry at the report's scale and compares its JSON-encoded tables with

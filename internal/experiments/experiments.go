@@ -1102,9 +1102,8 @@ type experiment struct {
 	// deterministic marks the entries whose tables are pinned byte for
 	// byte: TestDeterministicReplay reruns them and
 	// TestBenchTablesUnchanged compares them with the checked-in BENCH
-	// file. figsh is not, because its columns are wall-clock times; the
-	// paper figures are left out because the BENCH file does not record
-	// them.
+	// file. The paper figures are left out because the BENCH file does
+	// not record them.
 	deterministic bool
 }
 
@@ -1134,7 +1133,6 @@ var registry = []experiment{
 	{"figsc", func(s Scale, o Options) []*Table { return []*Table{FigSC(s, o)} }, true},
 	{"figslo", func(s Scale, o Options) []*Table { return []*Table{FigSLO(s, o)} }, true},
 	{"figra", func(s Scale, o Options) []*Table { return []*Table{FigRA(s, o)} }, true},
-	{"figsh", func(s Scale, o Options) []*Table { return []*Table{FigSH(s, o)} }, false},
 }
 
 // All returns every experiment id in order.

@@ -1,16 +1,16 @@
 package sim
 
-// PacedBandwidth is a rate-limited admission lane layered over a shared
+// PacedBandwidth is a rate-limited admission lane in front of a shared
 // Bandwidth link. Foreground traffic keeps using the link directly and
 // retains its FIFO position; background (repair) traffic must first draw
-// tokens from a bucket that refills at a controller-settable rate, so its
-// aggregate admission rate — and therefore the fraction of the shared
-// link it can occupy — is bounded even while the link itself has spare
-// capacity. Admissions are granted FIFO; SetRate retunes the refill rate
-// mid-flight (the feedback knob of the repair pacer).
+// tokens from a bucket that refills at a controller-settable rate, and
+// its grant then starts the link transfer, so its aggregate admission
+// rate — and therefore the fraction of the shared link it can occupy —
+// is bounded even while the link itself has spare capacity. Admissions
+// are granted FIFO; SetRate retunes the refill rate mid-flight (the
+// feedback knob of the repair pacer).
 type PacedBandwidth struct {
-	eng  *Engine
-	link *Bandwidth
+	eng *Engine
 	// rate is the token refill rate in bytes per second; burst caps the
 	// bucket so an idle lane cannot bank unbounded credit.
 	rate  float64
@@ -57,9 +57,9 @@ func (w *pacedWake) Fire(Time) {
 	}
 }
 
-// NewPacedBandwidth returns a paced lane over link with the given token
-// refill rate and bucket capacity, both in bytes. The bucket starts full.
-func NewPacedBandwidth(eng *Engine, link *Bandwidth, rateBytesPerSec, burstBytes float64) *PacedBandwidth {
+// NewPacedBandwidth returns a paced lane with the given token refill
+// rate and bucket capacity, both in bytes. The bucket starts full.
+func NewPacedBandwidth(eng *Engine, rateBytesPerSec, burstBytes float64) *PacedBandwidth {
 	if rateBytesPerSec <= 0 {
 		panic("sim: paced bandwidth rate must be positive")
 	}
@@ -68,7 +68,6 @@ func NewPacedBandwidth(eng *Engine, link *Bandwidth, rateBytesPerSec, burstBytes
 	}
 	return &PacedBandwidth{
 		eng:       eng,
-		link:      link,
 		rate:      rateBytesPerSec,
 		burst:     burstBytes,
 		tokens:    burstBytes,
@@ -126,14 +125,6 @@ func (p *PacedBandwidth) Consume(deltaBytes int64) {
 		p.tokens = p.burst
 	}
 	p.pump()
-}
-
-// Transfer admits bytes through the token gate and then moves them over
-// the underlying link, firing done when the last byte clears it (done
-// may be nil). The completion time is unknowable before admission, so
-// unlike Bandwidth.Transfer it is reported only as done's now.
-func (p *PacedBandwidth) Transfer(bytes int64, done Handler) {
-	p.Admit(bytes, EventFunc(func(Time) { p.link.Transfer(bytes, done) }))
 }
 
 // refill matures tokens up to now at the current rate, capped at burst.

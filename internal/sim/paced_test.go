@@ -7,8 +7,7 @@ import "testing"
 // evenly spaced instants bytes/rate apart.
 func TestPacedAdmitRespectsRate(t *testing.T) {
 	eng := NewEngine()
-	link := NewBandwidth(eng, 100e6)
-	p := NewPacedBandwidth(eng, link, 1e6, 1000) // 1 MB/s refill, 1000-byte bucket
+	p := NewPacedBandwidth(eng, 1e6, 1000) // 1 MB/s refill, 1000-byte bucket
 
 	// Drain the initial burst so the grant spacing is purely rate-driven.
 	p.Admit(1000, EventFunc(func(Time) {}))
@@ -34,8 +33,7 @@ func TestPacedAdmitRespectsRate(t *testing.T) {
 // its capacity with no delay.
 func TestPacedBurstGrantsImmediately(t *testing.T) {
 	eng := NewEngine()
-	link := NewBandwidth(eng, 100e6)
-	p := NewPacedBandwidth(eng, link, 1e3, 4000)
+	p := NewPacedBandwidth(eng, 1e3, 4000)
 
 	granted := 0
 	for i := 0; i < 4; i++ {
@@ -56,8 +54,7 @@ func TestPacedBurstGrantsImmediately(t *testing.T) {
 // debt) instead of starving forever.
 func TestPacedOversizedAdmissionProgresses(t *testing.T) {
 	eng := NewEngine()
-	link := NewBandwidth(eng, 100e6)
-	p := NewPacedBandwidth(eng, link, 1e6, 500) // bucket holds 500, admission wants 2000
+	p := NewPacedBandwidth(eng, 1e6, 500) // bucket holds 500, admission wants 2000
 
 	var grantedAt Time = -1
 	p.Admit(1000, EventFunc(func(Time) {})) // spends the initial 500 and goes 500 into debt
@@ -80,8 +77,7 @@ func TestPacedOversizedAdmissionProgresses(t *testing.T) {
 // rate until the change and at the new rate after.
 func TestPacedSetRateRetunesPendingGrant(t *testing.T) {
 	eng := NewEngine()
-	link := NewBandwidth(eng, 100e6)
-	p := NewPacedBandwidth(eng, link, 1e6, 1000)
+	p := NewPacedBandwidth(eng, 1e6, 1000)
 	p.Admit(1000, EventFunc(func(Time) {})) // empty the bucket
 
 	var grantedAt Time = -1
@@ -106,8 +102,7 @@ func TestPacedSetRateRetunesPendingGrant(t *testing.T) {
 // immediately.
 func TestPacedConsumeSettlesDebtAndRefund(t *testing.T) {
 	eng := NewEngine()
-	link := NewBandwidth(eng, 100e6)
-	p := NewPacedBandwidth(eng, link, 1e6, 1000) // 1 MB/s, 1000-byte bucket
+	p := NewPacedBandwidth(eng, 1e6, 1000) // 1 MB/s, 1000-byte bucket
 
 	var first, second Time = -1, -1
 	p.Admit(1000, EventFunc(func(now Time) {
@@ -136,16 +131,18 @@ func TestPacedConsumeSettlesDebtAndRefund(t *testing.T) {
 	}
 }
 
-// TestPacedTransferSharesLink checks that Transfer occupies the shared
-// link after admission, so paced and unpaced traffic serialize FIFO on
-// the same capacity.
+// TestPacedTransferSharesLink checks that a grant starting a link
+// transfer occupies the shared link after admission, so paced and
+// unpaced traffic serialize FIFO on the same capacity.
 func TestPacedTransferSharesLink(t *testing.T) {
 	eng := NewEngine()
 	link := NewBandwidth(eng, 1e6) // 1 MB/s: 1000 bytes take 1ms
-	p := NewPacedBandwidth(eng, link, 1e9, 1e6)
+	p := NewPacedBandwidth(eng, 1e9, 1e6)
 
 	var pacedEnd, fgEnd Time
-	p.Transfer(1000, EventFunc(func(end Time) { pacedEnd = end }))
+	p.Admit(1000, EventFunc(func(Time) {
+		link.Transfer(1000, EventFunc(func(end Time) { pacedEnd = end }))
+	}))
 	link.Transfer(1000, EventFunc(func(end Time) { fgEnd = end })) // foreground, direct
 	eng.Run()
 	if pacedEnd != Millisecond {
@@ -163,11 +160,10 @@ func TestPacedTransferSharesLink(t *testing.T) {
 // TestPacedRejectsBadConfig pins the constructor and SetRate panics.
 func TestPacedRejectsBadConfig(t *testing.T) {
 	eng := NewEngine()
-	link := NewBandwidth(eng, 1e6)
 	for name, fn := range map[string]func(){
-		"zero rate":  func() { NewPacedBandwidth(eng, link, 0, 1) },
-		"zero burst": func() { NewPacedBandwidth(eng, link, 1, 0) },
-		"set zero":   func() { NewPacedBandwidth(eng, link, 1, 1).SetRate(0) },
+		"zero rate":  func() { NewPacedBandwidth(eng, 0, 1) },
+		"zero burst": func() { NewPacedBandwidth(eng, 1, 0) },
+		"set zero":   func() { NewPacedBandwidth(eng, 1, 1).SetRate(0) },
 	} {
 		func() {
 			defer func() {
@@ -187,8 +183,7 @@ func TestPacedRejectsBadConfig(t *testing.T) {
 // instant the new rate matures it.
 func TestPacedStaleWakeupFiresAndGrantsNothing(t *testing.T) {
 	eng := NewEngine()
-	link := NewBandwidth(eng, 100e6)
-	p := NewPacedBandwidth(eng, link, 1e6, 1000)
+	p := NewPacedBandwidth(eng, 1e6, 1000)
 	p.Admit(1000, EventFunc(func(Time) {})) // empty the bucket
 
 	var grants []Time

@@ -229,22 +229,12 @@
 //
 // # Simulator invariants
 //
-// The simulation core is sharded: sim.ShardGroup owns one engine per
-// rack plus a coordinator shard (shard 0, the spine and cluster
-// driver), and can run the shards on parallel goroutines under
-// conservative-lookahead synchronization. Each window extends to the
-// earliest pending event time plus the cross-shard lookahead (the spine
-// propagation delay) minus one tick, so shards never need to see each
-// other's state mid-window; cross-shard events travel through per-edge
-// mailboxes and are delivered in canonical (time, source shard, send
-// sequence) order, which makes the parallel run byte-identical to the
-// sequential one — RunSequential is kept as the differential oracle,
-// and a fuzzer plus the figure replay suite compare the two modes event
-// trace for event trace. Handlers obey a shard-ownership discipline: an
-// executing event touches only its own shard's state, and cross-shard
-// work carries only by-value data through ShardGroup.Send, whose
-// lookahead contract (deliveries at least one lookahead in the future)
-// is enforced at the call site.
+// Every run executes on one single-threaded sim.Engine: the per-I/O
+// datapath of every rack, the core.Spine boundary that meters
+// cross-rack traffic, and the scenario driver share one event queue, and
+// events fire in (time, schedule sequence) order with nothing running
+// beside them. The multi-rack figures run several racks under a metered
+// spine on that same engine.
 //
 // Every measurement above rests on five invariants that the cmd/rackvet
 // analysis suite (internal/analysis) machine-checks, so they hold by
@@ -256,9 +246,7 @@
 //     state, records trace/stats samples, or draws randomness must
 //     iterate sorted keys or carry a `//rackvet:commutative <rationale>`
 //     directive asserting the body commutes — and no global math/rand
-//     use or goroutine spawns (the shard runner's worker pool in
-//     internal/sim's shardrun.go is the one sanctioned exception).
-//     Same-seed runs replay byte-identically, parallel or sequential.
+//     use. Same-seed runs replay byte-identically.
 //   - simtime: no wall-clock reads (time.Now/Since/Until/Sleep/timers)
 //     anywhere simulation logic runs; the only clock is virtual
 //     sim.Time. _test.go files, cmd/, and examples/ are exempt, and
@@ -274,12 +262,11 @@
 //     events, call into simulation components, draw from sim.RNG, or
 //     write simulation-state fields — the static side of the
 //     "instrumented runs are byte-identical" guarantee.
-//   - goroutinediscipline: `go` statements appear in exactly one file
-//     of the internal tree — internal/sim's shardrun.go, the shard
-//     worker pool whose window barrier keeps the concurrency
-//     unobservable. There is deliberately no directive escape hatch:
-//     new concurrency must go through the shard runner or move the
-//     carve-out in review.
+//   - goroutinediscipline: non-test code under internal/ contains no
+//     `go` statement, so nothing runs beside the engine and goroutine
+//     interleaving cannot reach a Result. There is deliberately no
+//     directive escape hatch and no sanctioned file; tests own their
+//     goroutines and the race detector watches them.
 //
 // Run the suite standalone (CI does both of these on every push):
 //
