@@ -38,7 +38,8 @@
 // separated <kind>:<index>@<time> events with kinds fail-server,
 // fail-rack, fail-tor, revive-server, revive-tor. Malformed specs and
 // invalid timelines (revive-before-fail, double crashes) exit with a
-// usage error.
+// usage error, and so does combining -scenario with -redundancy: the
+// lifecycle cluster fixes its own code family.
 // -repair-slo sets the foreground read p99 target of the SLO-aware
 // repair pacer (core.Config.RepairSLO): figslo uses it in place of its
 // auto-derived target, and -scenario runs gain a paced repair lane; the
@@ -170,6 +171,10 @@ func main() {
 
 	var tables []*experiments.Table
 	var ids []string
+	if *scenario != "" && *redundancy != "" {
+		fmt.Fprintln(os.Stderr, "rackbench: -scenario and -redundancy cannot be combined: the -scenario cluster runs its own code family, so -redundancy would be ignored")
+		os.Exit(2)
+	}
 	if *scenario != "" {
 		events, err := parseScenario(*scenario)
 		if err != nil {

@@ -10,10 +10,9 @@ import (
 )
 
 // datapathAllocBudget is what one foreground request may allocate once
-// the rack is warm: its reqState, the client's record of the request.
-// Every hop, pipeline pass, queue entry, device completion and Hermes
-// message in between is recycled.
-const datapathAllocBudget = 1
+// the rack is warm: nothing. Its reqState, every hop, pipeline pass,
+// queue entry, device completion and Hermes message is recycled.
+const datapathAllocBudget = 0
 
 // TestDatapathSteadyStateAllocs is the CI datapath allocation gate. It
 // warms a DefaultConfig rack with a short run, then drives single
@@ -61,7 +60,7 @@ func TestDatapathSteadyStateAllocs(t *testing.T) {
 			}
 			t.Logf("%.0f allocations per steady-state foreground %s", avg, tc.name)
 			if avg > datapathAllocBudget {
-				t.Errorf("steady-state foreground %s allocates %.0f objects, want <= %d (the reqState)",
+				t.Errorf("steady-state foreground %s allocates %.0f objects, want <= %d (everything is recycled)",
 					tc.name, avg, datapathAllocBudget)
 			}
 		})
@@ -71,8 +70,8 @@ func TestDatapathSteadyStateAllocs(t *testing.T) {
 // TestECSteadyStateAllocs extends the datapath gate to erasure-coded
 // volumes: on a warm, healthy LRC(4,2) rack a single logical read (one
 // chunk holder) and a single write (its data, parity and local parity
-// holders) each allocate only their reqState. The write fan-out's holder
-// list comes from per-group scratch, not a fresh slice per write.
+// holders) each allocate nothing. The write fan-out's holder list comes
+// from per-group scratch, not a fresh slice per write.
 func TestECSteadyStateAllocs(t *testing.T) {
 	cfg := lrcConfig()
 	cfg.Duration = 100 * sim.Millisecond
@@ -109,7 +108,7 @@ func TestECSteadyStateAllocs(t *testing.T) {
 			}
 			t.Logf("%.0f allocations per steady-state EC %s", avg, tc.name)
 			if avg > datapathAllocBudget {
-				t.Errorf("steady-state EC %s allocates %.0f objects, want <= %d (the reqState)",
+				t.Errorf("steady-state EC %s allocates %.0f objects, want <= %d (everything is recycled)",
 					tc.name, avg, datapathAllocBudget)
 			}
 		})
@@ -117,11 +116,12 @@ func TestECSteadyStateAllocs(t *testing.T) {
 }
 
 // repairAllocBudget bounds the mallocs per attempted request over a
-// whole Rack.Run of the repair workload: the reqState, amortized growth
-// of the request map, free lists and recorder blocks, and the cold
-// failure and re-integration paths. Degraded-read fan-out, repair
-// batches, pacer ticks and grants, and spine wakeups are all recycled.
-const repairAllocBudget = 4
+// whole Rack.Run of the repair workload: amortized growth of the request
+// map, the free lists' slabs and recorder blocks, and the cold failure
+// and re-integration paths. Request states, degraded-read fan-out,
+// repair batches, pacer ticks and grants, and spine wakeups are all
+// recycled.
+const repairAllocBudget = 1
 
 // TestRepairPathAllocs is the CI gate for the background repair and
 // degraded-read paths: three racks of six under LRC(4,2) on a scarce,

@@ -78,7 +78,8 @@ func (r *Rack) issue(pr *pair) {
 func (r *Rack) send(pr *pair, op workload.Op) {
 	now := r.eng.Now()
 	r.seq++
-	st := &reqState{
+	st := r.freeStates.Get()
+	*st = reqState{
 		seq:       r.seq,
 		write:     op.Write,
 		lpn:       op.LPN,
@@ -300,6 +301,7 @@ func (r *Rack) clientReceive(pkt packet.Packet) {
 		}
 	}
 	delete(r.reqs, pkt.Seq)
+	defer r.freeStates.Put(st) // r.reqs was its only holder
 	st.decInflight()
 	now := r.eng.Now()
 	if r.pacer != nil && !st.write {

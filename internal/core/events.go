@@ -20,13 +20,17 @@ import (
 // Fixed-state events are the object itself (a *pair is its own
 // next-issue event, (*pumpEvent)(inst) an instance's pump,
 // (*repairPumpEvent)(g) a group's repair pump); events carrying a
-// packet, a request or a repair task come from the Rack's free lists,
-// which grow lazily to the number of events in flight and are owned by
-// the one engine, so recycling is deterministic. Each Fire copies its
-// fields out and recycles the event before running, because the handler
-// may immediately schedule into the same slot. Closures remain only for
-// cold paths: failures, re-integration, scenario timers and the GC
-// control plane's per-episode messages.
+// packet, a request or a repair task come from the Rack's free lists.
+// Every list is a sim.FreeList owned by the one engine: it grows a slab
+// at a time to the number of objects in flight and recycles LIFO, so
+// reuse is deterministic. Each Fire copies its fields out and recycles
+// the event before running, because the handler may immediately
+// schedule into the same slot. A request's reqState is recycled too,
+// under one ownership rule: only r.reqs holds a *reqState; events keep
+// the attempt's seq and look the state up, so a stale attempt finds
+// nothing once its state was retired. Closures remain only for cold
+// paths: failures, re-integration, scenario timers and the GC control
+// plane's per-episode messages.
 
 // labels holds the datapath and repair handlers' event labels, interned
 // once per rack so scheduling one costs no map lookup.
@@ -37,7 +41,8 @@ type labels struct {
 	respond, hermes         sim.Label
 	pump, cacheHit, admit   sim.Label
 	staleRetry, cacheInsert sim.Label
-	gcMonitor               sim.Label
+	gcMonitor, gcOp         sim.Label
+	gcOpTimeout             sim.Label
 	chunkRead, chunkBack    sim.Label
 	decode                  sim.Label
 	repairPump, repairDone  sim.Label
@@ -60,6 +65,8 @@ func internLabels(e *sim.Engine) labels {
 		staleRetry:  e.Intern("server.stale_retry"),
 		cacheInsert: e.Intern("server.cache_insert"),
 		gcMonitor:   e.Intern("gc.monitor"),
+		gcOp:        e.Intern("gc.op"),
+		gcOpTimeout: e.Intern("gc.op_timeout"),
 		chunkRead:   e.Intern("ec.chunk_read"),
 		chunkBack:   e.Intern("ec.chunk_back"),
 		decode:      e.Intern("ec.decode"),
@@ -120,18 +127,12 @@ type hopEvent struct {
 	srv *server
 	// torRack and dstRack are fromToR's sending ToR and destination rack.
 	torRack, dstRack int
-	next             *hopEvent // free-list link
 }
 
 // sendHop puts a packet on a link: it lands d from now, as an event
 // labeled l.
 func (r *Rack) sendHop(d sim.Time, l sim.Label, h hopEvent) {
-	ev := r.freeHops
-	if ev == nil {
-		ev = new(hopEvent)
-	} else {
-		r.freeHops = ev.next
-	}
+	ev := r.freeHops.Get()
 	*ev = h
 	ev.r = r
 	r.eng.AfterHandler(d, l, ev)
@@ -140,8 +141,7 @@ func (r *Rack) sendHop(d sim.Time, l sim.Label, h hopEvent) {
 // Fire lands the packet.
 func (ev *hopEvent) Fire(sim.Time) {
 	h, r := *ev, ev.r
-	*ev = hopEvent{next: r.freeHops}
-	r.freeHops = ev
+	r.freeHops.Put(ev)
 	switch h.to {
 	case atToR:
 		h.tor.Process(h.pkt)
@@ -150,24 +150,6 @@ func (ev *hopEvent) Fire(sim.Time) {
 	case fromToR:
 		r.arrive(h.torRack, h.dstRack, h.srv, h.pkt)
 	}
-}
-
-// newRequest returns a server queue entry, recycled when one is free.
-func (r *Rack) newRequest() *sched.Request {
-	if n := len(r.freeReqs); n > 0 {
-		req := r.freeReqs[n-1]
-		r.freeReqs = r.freeReqs[:n-1]
-		return req
-	}
-	return new(sched.Request)
-}
-
-// freeRequest recycles a queue entry once its request has left the
-// storage stack: read completion or cancellation, a bounce, or a
-// write's dispatch into DRAM. Nothing may use req afterwards.
-func (r *Rack) freeRequest(req *sched.Request) {
-	*req = sched.Request{}
-	r.freeReqs = append(r.freeReqs, req)
 }
 
 // ioKind names the server-side step an ioStep completes.
@@ -185,28 +167,22 @@ const (
 
 // ioStep is one in-flight step of a request at a server (or its client
 // timer). It is a sim.Handler for timed steps and a replication.OnCommit
-// for the write's commit.
+// for the write's commit. It names the request by seq, never by its
+// reqState (see the ownership rule above).
 type ioStep struct {
 	r       *Rack
 	kind    ioKind
 	inst    *instance
 	req     *sched.Request
-	st      *reqState
 	seq     uint64
 	lpn     uint32
 	attempt int
 	msg     replication.Message
-	next    *ioStep // free-list link
 }
 
 // newIO returns a recycled ioStep holding s.
 func (r *Rack) newIO(s ioStep) *ioStep {
-	ev := r.freeIO
-	if ev == nil {
-		ev = new(ioStep)
-	} else {
-		r.freeIO = ev.next
-	}
+	ev := r.freeIO.Get()
 	*ev = s
 	ev.r = r
 	return ev
@@ -218,8 +194,7 @@ func (ev *ioStep) Committed() { ev.run() }
 
 func (ev *ioStep) run() {
 	s, r := *ev, ev.r
-	*ev = ioStep{next: r.freeIO}
-	r.freeIO = ev
+	r.freeIO.Put(ev)
 	switch s.kind {
 	case ioReadDone:
 		s.inst.server.completeRead(s.inst, s.req)
@@ -228,9 +203,9 @@ func (ev *ioStep) run() {
 	case ioRetry:
 		s.inst.server.startRead(s.inst, s.req, s.attempt)
 	case ioInserted:
-		s.inst.server.writeInserted(s.inst, s.st, s.seq)
+		s.inst.server.writeInserted(s.inst, s.seq)
 	case ioCommitted:
-		s.inst.server.writeCommitted(s.inst, s.st, s.seq)
+		s.inst.server.writeCommitted(s.inst, s.seq)
 	case ioHermes:
 		r.deliverHermes(s.inst, s.msg)
 	case ioTimeout:
@@ -258,17 +233,11 @@ type degradedRead struct {
 	stripe    int
 	recSpan   *trace.Span
 	remaining int
-	next      *degradedRead // free-list link
 }
 
 // newDegradedRead returns a recycled degradedRead holding d.
 func (r *Rack) newDegradedRead(d degradedRead) *degradedRead {
-	ev := r.freeReads
-	if ev == nil {
-		ev = new(degradedRead)
-	} else {
-		r.freeReads = ev.next
-	}
+	ev := r.freeReads.Get()
 	*ev = d
 	ev.r = r
 	return ev
@@ -277,8 +246,7 @@ func (r *Rack) newDegradedRead(d degradedRead) *degradedRead {
 // Fire completes the decoded read (ec.decode).
 func (dr *degradedRead) Fire(now sim.Time) {
 	d, r := *dr, dr.r
-	*dr = degradedRead{next: r.freeReads}
-	r.freeReads = dr
+	r.freeReads.Put(dr)
 	d.recSpan.EndAt(now)
 	d.inst.server.completeRead(d.inst, d.req)
 }
@@ -312,17 +280,11 @@ type chunkFetch struct {
 	src   *instance
 	route fetchRoute
 	step  fetchStep
-	next  *chunkFetch // free-list link
 }
 
 // newChunkFetch returns a recycled chunkFetch holding c.
 func (r *Rack) newChunkFetch(c chunkFetch) *chunkFetch {
-	ev := r.freeFetches
-	if ev == nil {
-		ev = new(chunkFetch)
-	} else {
-		r.freeFetches = ev.next
-	}
+	ev := r.freeFetches.Get()
 	*ev = c
 	return ev
 }
@@ -390,8 +352,7 @@ func (f *chunkFetch) sendBack(d sim.Time) {
 func (f *chunkFetch) finish() {
 	dr := f.dr
 	r := dr.r
-	*f = chunkFetch{next: r.freeFetches}
-	r.freeFetches = f
+	r.freeFetches.Put(f)
 	dr.remaining--
 	if dr.remaining == 0 {
 		r.eng.AfterHandler(ecDecodeTime, r.lbl.decode, dr)
@@ -429,17 +390,11 @@ type repairStep struct {
 	charge     int64       // repairGrant: the tokens the admission charged
 	sp         *trace.Span // repairDone: the batch's span
 	crossBytes int64       // repairDone: the spine bytes the batch moved
-	next       *repairStep // free-list link
 }
 
 // newRepairStep returns a recycled repairStep holding s.
 func (r *Rack) newRepairStep(s repairStep) *repairStep {
-	ev := r.freeRepairs
-	if ev == nil {
-		ev = new(repairStep)
-	} else {
-		r.freeRepairs = ev.next
-	}
+	ev := r.freeRepairs.Get()
 	*ev = s
 	ev.r = r
 	return ev
@@ -447,8 +402,7 @@ func (r *Rack) newRepairStep(s repairStep) *repairStep {
 
 func (ev *repairStep) Fire(now sim.Time) {
 	s, r := *ev, ev.r
-	*ev = repairStep{next: r.freeRepairs}
-	r.freeRepairs = ev
+	r.freeRepairs.Put(ev)
 	switch s.kind {
 	case repairGrant:
 		r.runRepairTask(s.g, s.task, s.charge)

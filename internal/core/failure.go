@@ -453,4 +453,5 @@ func (r *Rack) timeout(seq uint64) {
 	if !st.write {
 		r.lostReads++
 	}
+	r.freeStates.Put(st) // r.reqs was its only holder
 }

@@ -102,7 +102,6 @@ func (r *Rack) freeRatio(inst *instance) float64 {
 // anyway, §3.5.1).
 func (r *Rack) sendGCOp(inst *instance, gcType packet.GCField, attempt int) {
 	inst.gcRequestInFlight = true
-	epoch := inst.gcRetries // any reply bumps this; timers compare it
 	r.gcOpsSent++
 	pkt := packet.Packet{
 		Op:    packet.OpGC,
@@ -112,23 +111,40 @@ func (r *Rack) sendGCOp(inst *instance, gcType packet.GCField, attempt int) {
 		Port:  packet.ReservedPort,
 	}
 	hop := r.net.HopLatency(r.eng.Now())
-	r.sendHop(hop, r.eng.Intern("gc.op"), hopEvent{to: atToR, tor: r.torOf(inst.server), pkt: pkt})
-	r.eng.AfterNamed(hop+gcReplyTimeout, "gc.op_timeout", func(sim.Time) {
-		if !inst.gcRequestInFlight || inst.gcRetries != epoch {
-			return // reply arrived
-		}
-		if attempt+1 <= r.cfg.GCRetries {
-			r.gcOpRetries++
-			r.sendGCOp(inst, gcType, attempt+1)
-			return
-		}
-		// Retries exhausted (link or switch failure).
-		inst.gcRequestInFlight = false
-		if gcType == packet.GCRegular {
-			r.forcedGCs++
-			r.startGCBurst(inst, r.restoreTarget(gcType))
-		}
-	})
+	r.sendHop(hop, r.lbl.gcOp, hopEvent{to: atToR, tor: r.torOf(inst.server), pkt: pkt})
+	ev := r.freeGCTimers.Get()
+	*ev = gcOpTimeout{r: r, inst: inst, gcType: gcType, attempt: attempt, epoch: inst.gcRetries}
+	r.eng.AfterHandler(hop+gcReplyTimeout, r.lbl.gcOpTimeout, ev)
+}
+
+// gcOpTimeout is one gc_op's reply timer (gc.op_timeout): it retransmits
+// an unanswered gc_op, or gives up once the retries are spent.
+type gcOpTimeout struct {
+	r       *Rack
+	inst    *instance
+	gcType  packet.GCField
+	attempt int
+	epoch   int // inst.gcRetries at send: any reply bumps it
+}
+
+func (ev *gcOpTimeout) Fire(sim.Time) {
+	t, r := *ev, ev.r
+	r.freeGCTimers.Put(ev)
+	inst := t.inst
+	if !inst.gcRequestInFlight || inst.gcRetries != t.epoch {
+		return // reply arrived
+	}
+	if t.attempt+1 <= r.cfg.GCRetries {
+		r.gcOpRetries++
+		r.sendGCOp(inst, t.gcType, t.attempt+1)
+		return
+	}
+	// Retries exhausted (link or switch failure).
+	inst.gcRequestInFlight = false
+	if t.gcType == packet.GCRegular {
+		r.forcedGCs++
+		r.startGCBurst(inst, r.restoreTarget(t.gcType))
+	}
 }
 
 // notifySwitchGC sends a fire-and-forget gc_op state update.

@@ -82,7 +82,9 @@ type pair struct {
 
 // reqState tracks one request across the rack for latency breakdown.
 // Exactly one of pair and group is set: pair for replicated volumes,
-// group for erasure-coded ones.
+// group for erasure-coded ones. States are recycled (Rack.freeStates),
+// so Rack.reqs is the only holder of a *reqState: anything that outlives
+// the current event keeps the attempt's seq and looks the state up.
 type reqState struct {
 	seq        uint64
 	write      bool
@@ -138,22 +140,24 @@ type Rack struct {
 	// per-I/O datapath of every rack, the spine boundary, and the
 	// scenario driver.
 	eng *sim.Engine
-	// lbl holds the datapath and repair event labels; freeHops, freeIO
-	// and freeReqs recycle the packet and server-step events in flight
-	// and the server queue entries, freeReads and freeFetches the
-	// degraded reads and their chunk fetches, freeRepairs the repair
-	// grants and completions (events.go). perRack is per-rack scratch
-	// (rackScratch).
-	lbl         labels
-	freeHops    *hopEvent
-	freeIO      *ioStep
-	freeReqs    []*sched.Request
-	freeReads   *degradedRead
-	freeFetches *chunkFetch
-	freeRepairs *repairStep
-	perRack     []*instance
-	net         *netsim.Network
-	cluster     *Cluster
+	// lbl holds the datapath and repair event labels. The free lists
+	// recycle everything a request or a repair puts in flight: packet
+	// hops, server steps, server queue entries, request states,
+	// degraded reads and their chunk fetches, repair grants and
+	// completions, and gc_op reply timers (events.go). perRack is
+	// per-rack scratch (rackScratch).
+	lbl          labels
+	freeHops     sim.FreeList[hopEvent]
+	freeIO       sim.FreeList[ioStep]
+	freeReqs     sim.FreeList[sched.Request]
+	freeStates   sim.FreeList[reqState]
+	freeReads    sim.FreeList[degradedRead]
+	freeFetches  sim.FreeList[chunkFetch]
+	freeRepairs  sim.FreeList[repairStep]
+	freeGCTimers sim.FreeList[gcOpTimeout]
+	perRack      []*instance
+	net          *netsim.Network
+	cluster      *Cluster
 	// sw aliases the first rack's ToR for the single-rack call sites and
 	// tests; multi-rack paths go through torOf/cluster.
 	sw      *switchsim.Switch
@@ -599,9 +603,6 @@ func (r *Rack) Engine() *sim.Engine { return r.eng }
 
 // Switch exposes the first rack's ToR switch (tests).
 func (r *Rack) Switch() *switchsim.Switch { return r.sw }
-
-// Cluster exposes the multi-rack topology layer (tests).
-func (r *Rack) Cluster() *Cluster { return r.cluster }
 
 // peerOf returns the other member of a two-member channel group, nil when
 // ungrouped.

@@ -65,7 +65,7 @@ func (s *server) receive(pkt packet.Packet) {
 		inst.pred.Observe(pkt.Op == packet.OpWrite, sim.Time(pkt.LatencyNS()))
 		inst.idle.OnRequest(now)
 
-		req := s.rack.newRequest()
+		req := s.rack.freeReqs.Get()
 		*req = sched.Request{
 			Seq:     pkt.Seq,
 			Write:   pkt.Op == packet.OpWrite,
@@ -159,7 +159,7 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 	now := r.eng.Now()
 	st := r.reqs[req.Seq]
 	if st == nil {
-		r.freeRequest(req)
+		r.freeReqs.Put(req)
 		s.cancelRead(inst)
 		return
 	}
@@ -189,7 +189,7 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 		st.dispatched = 0 // queue accounting restarts at the new server
 		inst.inflight--
 		r.bounces++
-		r.freeRequest(req)
+		r.freeReqs.Put(req)
 		r.bounceRead(inst, st)
 		s.pump(inst)
 		return
@@ -238,7 +238,7 @@ func (s *server) completeRead(inst *instance, req *sched.Request) {
 	if st == nil {
 		// Timed out and (for EC) retransmitted while the device worked;
 		// the flash time was spent, but nobody is waiting for the reply.
-		r.freeRequest(req)
+		r.freeReqs.Put(req)
 		s.cancelRead(inst)
 		return
 	}
@@ -250,7 +250,7 @@ func (s *server) completeRead(inst *instance, req *sched.Request) {
 	if r.cfg.coordinated() {
 		lat += req.NetTime + req.Predict
 	}
-	r.freeRequest(req)
+	r.freeReqs.Put(req)
 	inst.queue.OnComplete(false, lat)
 	inst.inflight--
 	r.respond(st, inst)
@@ -263,7 +263,7 @@ func (s *server) startWrite(inst *instance, req *sched.Request) {
 	r := s.rack
 	now := r.eng.Now()
 	seq := req.Seq
-	r.freeRequest(req) // a write needs only its sequence number from here
+	r.freeReqs.Put(req) // a write needs only its sequence number from here
 	st := r.reqs[seq]
 	if st == nil {
 		// Timed out (and for EC retransmitted) before dispatch: return
@@ -280,19 +280,21 @@ func (s *server) startWrite(inst *instance, req *sched.Request) {
 	// stack, not the replication round trip, which is network time.
 	inst.queue.OnComplete(true, 0)
 	// seq pins this attempt: an EC retransmission reissues the logical
-	// request under a fresh sequence number, so a stale attempt's
-	// completion must not respond against the new one.
+	// request under a fresh sequence number, and a finished request's
+	// state is recycled for a later one, so the completion looks its
+	// state up by seq and a stale attempt finds none.
 	r.eng.AfterHandler(cacheInsertTime, r.lbl.cacheInsert,
-		r.newIO(ioStep{kind: ioInserted, inst: inst, st: st, seq: seq}))
+		r.newIO(ioStep{kind: ioInserted, inst: inst, seq: seq}))
 	s.flushPump(inst)
 }
 
-// writeInserted runs when a write's DRAM insert completes: an
+// writeInserted runs when the DRAM insert of attempt seq completes: an
 // erasure-coded sub-write commits locally, a replicated write starts
 // its Hermes round.
-func (s *server) writeInserted(inst *instance, st *reqState, seq uint64) {
+func (s *server) writeInserted(inst *instance, seq uint64) {
 	r := s.rack
-	if r.reqs[seq] != st {
+	st := r.reqs[seq]
+	if st == nil {
 		s.flushPump(inst)
 		s.pump(inst)
 		return // attempt superseded by a client retransmission
@@ -310,14 +312,15 @@ func (s *server) writeInserted(inst *instance, st *reqState, seq uint64) {
 		s.pump(inst)
 		return
 	}
-	inst.repl.Write(st.lpn, r.newIO(ioStep{kind: ioCommitted, inst: inst, st: st, seq: seq}))
+	inst.repl.Write(st.lpn, r.newIO(ioStep{kind: ioCommitted, inst: inst, seq: seq}))
 }
 
 // writeCommitted runs when Hermes commits a replicated write (or
-// supersedes or releases it).
-func (s *server) writeCommitted(inst *instance, st *reqState, seq uint64) {
+// supersedes or releases it). Attempt seq responds only if its request
+// is still waiting for it.
+func (s *server) writeCommitted(inst *instance, seq uint64) {
 	r := s.rack
-	if r.reqs[seq] == st {
+	if st := r.reqs[seq]; st != nil {
 		st.deviceDone = r.eng.Now()
 		r.respond(st, inst)
 	}

@@ -180,9 +180,6 @@ func (s *Spine) CrossRepairBytes() int64 { return s.crossRepairBytes }
 // counted at enqueue — the old meaning of CrossRepairBytes.
 func (s *Spine) CrossRepairBytesOffered() int64 { return s.crossRepairOffered }
 
-// CrossFetches returns how many repair transfers the spine has accepted.
-func (s *Spine) CrossFetches() int64 { return s.crossFetches }
-
 // ForegroundBytes returns the foreground (non-repair) bytes the spine
 // has fully delivered so far.
 func (s *Spine) ForegroundBytes() int64 { return s.foregroundBytes }

@@ -28,9 +28,9 @@ type PacedBandwidth struct {
 	wake    uint64
 	pumping bool
 	// wakeLabel is paced.wake, interned once; freeWakes recycles wakeup
-	// events, growing lazily to the most wakeups ever outstanding.
+	// events.
 	wakeLabel Label
-	freeWakes *pacedWake
+	freeWakes FreeList[pacedWake]
 }
 
 type pacedGrant struct {
@@ -41,17 +41,15 @@ type pacedGrant struct {
 // pacedWake is one scheduled refill wakeup, valid while gen matches the
 // lane's wake generation.
 type pacedWake struct {
-	p    *PacedBandwidth
-	gen  uint64
-	next *pacedWake // free-list link
+	p   *PacedBandwidth
+	gen uint64
 }
 
 // Fire recycles the wakeup, then pumps the queue unless a SetRate has
 // superseded it.
 func (w *pacedWake) Fire(Time) {
 	p, gen := w.p, w.gen
-	*w = pacedWake{next: p.freeWakes}
-	p.freeWakes = w
+	p.freeWakes.Put(w)
 	if gen == p.wake {
 		p.pump()
 	}
@@ -162,12 +160,7 @@ func (p *PacedBandwidth) pump() {
 		if p.tokens < need {
 			wait := Time((need-p.tokens)/p.rate*float64(Second)) + 1
 			p.wake++
-			w := p.freeWakes
-			if w == nil {
-				w = new(pacedWake)
-			} else {
-				p.freeWakes = w.next
-			}
+			w := p.freeWakes.Get()
 			*w = pacedWake{p: p, gen: p.wake}
 			p.eng.AfterHandler(wait, p.wakeLabel, w)
 			return

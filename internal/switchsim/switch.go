@@ -113,7 +113,7 @@ type Switch struct {
 	// freeStages recycles the events of packets waiting for the
 	// pipeline, so a packet crossing the switch allocates nothing.
 	pipelineLabel sim.Label
-	freeStages    *stage
+	freeStages    sim.FreeList[stage]
 
 	// PipelineLatency is the per-packet match-action latency (Tofino-class
 	// switches process in under a microsecond).
@@ -506,13 +506,8 @@ func (s *Switch) Process(pkt packet.Packet) {
 	if release < now {
 		release = now
 	}
-	st := s.freeStages
-	if st == nil {
-		st = &stage{s: s}
-	} else {
-		s.freeStages = st.next
-	}
-	st.pkt, st.arrived = pkt, now
+	st := s.freeStages.Get()
+	*st = stage{s: s, pkt: pkt, arrived: now}
 	s.eng.AtHandler(release, s.pipelineLabel, st)
 }
 
@@ -522,15 +517,13 @@ type stage struct {
 	s       *Switch
 	pkt     packet.Packet
 	arrived sim.Time
-	next    *stage // free-list link
 }
 
 // Fire runs the pipeline. The event is recycled before the pipeline
 // runs, since forwarding may immediately schedule into the same slot.
 func (st *stage) Fire(now sim.Time) {
 	s, pkt, arrived := st.s, st.pkt, st.arrived
-	st.next = s.freeStages
-	s.freeStages = st
+	s.freeStages.Put(st)
 	s.runPipeline(pkt, arrived, now)
 }
 

@@ -285,17 +285,19 @@
 // degraded read's chunk fetches and decode, the repair pump, pacer
 // grants and ticks, paced-lane wakeups, a repair batch's completion —
 // is a sim.Handler that captures nothing (the object itself, or an event
-// recycled through a per-Rack, per-Switch or per-lane free list) and is
-// scheduled under a Label interned once. A closure per hop would
-// allocate per request; TestDatapathSteadyStateAllocs and
+// recycled through a per-Rack, per-Switch or per-lane sim.FreeList) and
+// is scheduled under a Label interned once. The request's own state is
+// recycled the same way; only the Rack's request map holds it, and
+// every event names its request by sequence number. A closure per hop
+// would allocate per request; TestDatapathSteadyStateAllocs and
 // TestECSteadyStateAllocs (internal/core) pin a warm rack's foreground
-// read and write, replicated or erasure-coded, at one allocation each,
-// the request's own state; TestRepairPathAllocs bounds a whole
-// crash-revive-crash repair run at a few mallocs per request; and
-// TestEngineSteadyStateAllocs (internal/sim) pins the engine itself at
-// zero. Closures (AtNamed with a func literal) remain only for cold
-// paths: failures, re-integration, scenario timers and the GC control
-// plane's per-episode messages.
+// read and write, replicated or erasure-coded, at zero allocations;
+// TestRepairPathAllocs bounds a whole crash-revive-crash repair run
+// under one malloc per request; and TestEngineSteadyStateAllocs and
+// TestFreeList (internal/sim) pin the engine at zero and a free list at
+// one malloc per slab. Closures (AtNamed with a func literal) remain
+// only for cold paths: failures, re-integration, scenario timers and
+// the GC control plane's per-episode messages.
 //
 // Each directive escape hatch is a reviewed assertion, not a
 // suppression: the rationale text after the directive name is required
