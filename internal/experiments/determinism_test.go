@@ -21,41 +21,45 @@ func replayJSON(t *testing.T, id string) []byte {
 	return b
 }
 
-// TestDeterministicReplay runs every registry entry marked
-// deterministic twice with the same seed and asserts byte-identical JSON
-// results. This pins the engine's (time, insertion-order) event ordering
-// and the per-component RNG fork discipline (internal/sim/rng.go): any
-// refactor that lets map iteration or wall-clock state leak into the
-// event loop shows up here as a diff. The entries cover the
-// recovery-lifecycle paths (figrl: chunk repair, switch re-integration,
-// ToR revival with table replay), the scenario event driver with server
-// revival and catch-up repair (figsc), the SLO repair pacer, whose
-// feedback loop (latency window, AIMD ticks, token-lane wakeups) is a
-// rich source of ordering hazards (figslo), and the LRC code family —
-// local-parity placement, rack-local XOR repair, and per-rack
-// aggregated spine batches (figra).
+// TestDeterministicReplay runs every registry entry twice with the same
+// seed and asserts byte-identical JSON results. This pins the engine's
+// (time, insertion-order) event ordering and the per-component RNG fork
+// discipline (internal/sim/rng.go): any refactor that lets map iteration
+// or wall-clock state leak into the event loop shows up here as a diff.
+// The entries cover the paper's figures (the YCSB and BenchBase sweeps,
+// the scheduler and device/network grids, the wear and predictor models)
+// and the extensions: the recovery-lifecycle paths (figrl: chunk repair,
+// switch re-integration, ToR revival with table replay), the scenario
+// event driver with server revival and catch-up repair (figsc), the SLO
+// repair pacer, whose feedback loop (latency window, AIMD ticks,
+// token-lane wakeups) is a rich source of ordering hazards (figslo), and
+// the LRC code family — local-parity placement, rack-local XOR repair,
+// and per-rack aggregated spine batches (figra). Each entry is its own
+// parallel subtest, so under -race the suite also checks that concurrent
+// runs share no mutable state.
 func TestDeterministicReplay(t *testing.T) {
 	for _, e := range registry {
-		if !e.deterministic {
-			continue
-		}
-		first := replayJSON(t, e.id)
-		second := replayJSON(t, e.id)
-		if string(first) != string(second) {
-			t.Errorf("%s: two same-seed runs produced different JSON\nfirst:  %.200s\nsecond: %.200s",
-				e.id, first, second)
-		}
+		t.Run(e.id, func(t *testing.T) {
+			t.Parallel()
+			first := replayJSON(t, e.id)
+			second := replayJSON(t, e.id)
+			if string(first) != string(second) {
+				t.Errorf("%s: two same-seed runs produced different JSON\nfirst:  %.200s\nsecond: %.200s",
+					e.id, first, second)
+			}
+		})
 	}
 }
 
-// benchFile is the checked-in rackbench -json report whose tables every
-// deterministic registry entry must still reproduce.
-const benchFile = "../../BENCH_figec_figmr_figrl_figsc_figslo_figra.json"
+// benchFile is the checked-in rackbench -exp all -json report whose
+// tables every registry entry must still reproduce.
+const benchFile = "../../BENCH_all.json"
 
-// TestBenchTablesUnchanged regenerates every deterministic registry
-// entry at the report's scale and compares its JSON-encoded tables with
-// the ones recorded in the checked-in BENCH file, so a change that moves
-// any simulated figure fails here instead of in a manual diff.
+// TestBenchTablesUnchanged regenerates every registry entry at the
+// report's scale, one parallel subtest each, and compares its
+// JSON-encoded tables with the ones recorded in the checked-in BENCH
+// file, so a change that moves any simulated figure fails here instead
+// of in a manual diff.
 func TestBenchTablesUnchanged(t *testing.T) {
 	raw, err := os.ReadFile(benchFile)
 	if err != nil {
@@ -77,24 +81,24 @@ func TestBenchTablesUnchanged(t *testing.T) {
 		want[tb.ID] = b
 	}
 	for _, e := range registry {
-		if !e.deterministic {
-			continue
-		}
-		for _, tb := range e.run(Scale(report.Scale), Options{}) {
-			got, err := json.Marshal(tb)
-			if err != nil {
-				t.Fatalf("marshal %s: %v", tb.ID, err)
+		t.Run(e.id, func(t *testing.T) {
+			t.Parallel()
+			for _, tb := range e.run(Scale(report.Scale), Options{}) {
+				got, err := json.Marshal(tb)
+				if err != nil {
+					t.Fatalf("marshal %s: %v", tb.ID, err)
+				}
+				rec, ok := want[tb.ID]
+				if !ok {
+					t.Errorf("%s: table %s missing from %s", e.id, tb.ID, benchFile)
+					continue
+				}
+				if string(got) != string(rec) {
+					t.Errorf("%s: table %s differs from %s\ngot:  %.300s\nwant: %.300s",
+						e.id, tb.ID, benchFile, got, rec)
+				}
 			}
-			rec, ok := want[tb.ID]
-			if !ok {
-				t.Errorf("%s: table %s missing from %s", e.id, tb.ID, benchFile)
-				continue
-			}
-			if string(got) != string(rec) {
-				t.Errorf("%s: table %s differs from %s\ngot:  %.300s\nwant: %.300s",
-					e.id, tb.ID, benchFile, got, rec)
-			}
-		}
+		})
 	}
 }
 

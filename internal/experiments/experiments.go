@@ -1099,40 +1099,34 @@ func RedundancySummary(spec core.RedundancySpec, scale Scale) (*Table, error) {
 type experiment struct {
 	id  string
 	run func(Scale, Options) []*Table
-	// deterministic marks the entries whose tables are pinned byte for
-	// byte: TestDeterministicReplay reruns them and
-	// TestBenchTablesUnchanged compares them with the checked-in BENCH
-	// file. The paper figures are left out because the BENCH file does
-	// not record them.
-	deterministic bool
 }
 
 // registry lists every experiment in the order All reports them.
 var registry = []experiment{
-	{"table2", func(Scale, Options) []*Table { return []*Table{Table2()} }, false},
-	{"fig9", func(s Scale, _ Options) []*Table { return []*Table{Fig9a(s), Fig9b(s)} }, false},
-	{"fig10", func(s Scale, _ Options) []*Table { return []*Table{Fig10a(s), Fig10b(s)} }, false},
-	{"fig11", func(s Scale, _ Options) []*Table { return []*Table{Fig11a(s), Fig11b(s)} }, false},
-	{"fig12", func(s Scale, _ Options) []*Table { return []*Table{Fig12(s)} }, false},
-	{"fig13", func(s Scale, _ Options) []*Table { return []*Table{Fig13a(s), Fig13b(s)} }, false},
-	{"fig14", func(s Scale, _ Options) []*Table { return []*Table{Fig14(s)} }, false},
-	{"fig15", func(s Scale, _ Options) []*Table { return []*Table{Fig15a(s), Fig15b(s)} }, false},
-	{"fig16", func(s Scale, _ Options) []*Table { return []*Table{Fig16(s)} }, false},
-	{"fig17", func(s Scale, _ Options) []*Table { return []*Table{Fig17(s)} }, false},
-	{"fig18", func(s Scale, _ Options) []*Table { return []*Table{Fig18(s)} }, false},
-	{"fig19", func(s Scale, _ Options) []*Table { return []*Table{Fig19(s)} }, false},
-	{"fig20", func(s Scale, _ Options) []*Table { return []*Table{Fig20(s)} }, false},
-	{"fig21", func(s Scale, _ Options) []*Table { return []*Table{Fig21(s)} }, false},
-	{"fig22", func(Scale, Options) []*Table { return []*Table{Fig22()} }, false},
-	{"fig23", func(Scale, Options) []*Table { return []*Table{Fig23()} }, false},
-	{"predictor", func(Scale, Options) []*Table { return []*Table{PredictorAccuracy()} }, false},
-	{"gcablation", func(s Scale, _ Options) []*Table { return []*Table{GCAblation(s)} }, false},
-	{"figec", func(s Scale, o Options) []*Table { return []*Table{FigECWith(s, o)} }, true},
-	{"figmr", func(s Scale, o Options) []*Table { return []*Table{FigMR(s, o)} }, true},
-	{"figrl", func(s Scale, o Options) []*Table { return []*Table{FigRL(s, o)} }, true},
-	{"figsc", func(s Scale, o Options) []*Table { return []*Table{FigSC(s, o)} }, true},
-	{"figslo", func(s Scale, o Options) []*Table { return []*Table{FigSLO(s, o)} }, true},
-	{"figra", func(s Scale, o Options) []*Table { return []*Table{FigRA(s, o)} }, true},
+	{"table2", func(Scale, Options) []*Table { return []*Table{Table2()} }},
+	{"fig9", func(s Scale, _ Options) []*Table { return []*Table{Fig9a(s), Fig9b(s)} }},
+	{"fig10", func(s Scale, _ Options) []*Table { return []*Table{Fig10a(s), Fig10b(s)} }},
+	{"fig11", func(s Scale, _ Options) []*Table { return []*Table{Fig11a(s), Fig11b(s)} }},
+	{"fig12", func(s Scale, _ Options) []*Table { return []*Table{Fig12(s)} }},
+	{"fig13", func(s Scale, _ Options) []*Table { return []*Table{Fig13a(s), Fig13b(s)} }},
+	{"fig14", func(s Scale, _ Options) []*Table { return []*Table{Fig14(s)} }},
+	{"fig15", func(s Scale, _ Options) []*Table { return []*Table{Fig15a(s), Fig15b(s)} }},
+	{"fig16", func(s Scale, _ Options) []*Table { return []*Table{Fig16(s)} }},
+	{"fig17", func(s Scale, _ Options) []*Table { return []*Table{Fig17(s)} }},
+	{"fig18", func(s Scale, _ Options) []*Table { return []*Table{Fig18(s)} }},
+	{"fig19", func(s Scale, _ Options) []*Table { return []*Table{Fig19(s)} }},
+	{"fig20", func(s Scale, _ Options) []*Table { return []*Table{Fig20(s)} }},
+	{"fig21", func(s Scale, _ Options) []*Table { return []*Table{Fig21(s)} }},
+	{"fig22", func(Scale, Options) []*Table { return []*Table{Fig22()} }},
+	{"fig23", func(Scale, Options) []*Table { return []*Table{Fig23()} }},
+	{"predictor", func(Scale, Options) []*Table { return []*Table{PredictorAccuracy()} }},
+	{"gcablation", func(s Scale, _ Options) []*Table { return []*Table{GCAblation(s)} }},
+	{"figec", func(s Scale, o Options) []*Table { return []*Table{FigECWith(s, o)} }},
+	{"figmr", func(s Scale, o Options) []*Table { return []*Table{FigMR(s, o)} }},
+	{"figrl", func(s Scale, o Options) []*Table { return []*Table{FigRL(s, o)} }},
+	{"figsc", func(s Scale, o Options) []*Table { return []*Table{FigSC(s, o)} }},
+	{"figslo", func(s Scale, o Options) []*Table { return []*Table{FigSLO(s, o)} }},
+	{"figra", func(s Scale, o Options) []*Table { return []*Table{FigRA(s, o)} }},
 }
 
 // All returns every experiment id in order.
