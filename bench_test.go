@@ -43,7 +43,7 @@ func runExperiment(b *testing.B, id string, metric string) {
 	var tables []*experiments.Table
 	for i := 0; i < b.N; i++ {
 		var err error
-		tables, err = experiments.ByID(id, benchScale)
+		tables, err = experiments.ByID(id, benchScale, experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -24,9 +24,11 @@
 // ("replication", "rsK,M" like rs4,2, or "lrcK,M" like lrc4,2 — the
 // local-parity family, which runs on a three-rack spread cluster)
 // instead of a paper experiment.
-// -racks and -crossbw tune the cluster-shaped experiments (figmr, figrl,
-// figsc): the rack fault-domain count and the spine bandwidth in MB/s
-// that cross-rack repair and foreground traffic are metered on. figrl
+// -racks and -crossbw tune the cluster experiments (figmr, figrl, figsc,
+// figslo, figra) and -scenario runs: the rack fault-domain count (at
+// least 3, which spread RS(4,2) needs; smaller values are raised) and the
+// spine bandwidth in MB/s that cross-rack repair and foreground traffic
+// are metered on. figrl
 // sweeps the recovery lifecycle — fail, repair, re-integrate, revive —
 // and reports each phase's read latency against the healthy baseline
 // (vs_healthy), with foreground spine bytes (fg_cross_mb) separate from
@@ -54,12 +56,14 @@
 // -json FILE writes every produced table as machine-readable JSON
 // ("auto" derives a BENCH_<exp>.json name), so successive runs can be
 // diffed to track the performance trajectory. The report carries a
-// schema_version and, for the cluster experiments, one record per run
+// schema_version and one record per simulated run of every experiment —
+// paper figures, cluster experiments, -redundancy and -scenario alike —
 // with the engine's per-handler event counters, the repair-rate
-// timeline, sampled metrics, and the p99 tail attribution.
+// timeline, sampled metrics, and the p99 tail attribution. table2,
+// fig22, fig23 and predictor simulate no rack and record no run.
 //
-// -trace FILE turns on the flight recorder and writes the last
-// instrumented run's spans as Chrome trace-event JSON, loadable in
+// -trace FILE turns on the flight recorder for every simulated run and
+// writes the last run's spans as Chrome trace-event JSON, loadable in
 // Perfetto (ui.perfetto.dev) or chrome://tracing; -trace-sample N keeps
 // one request in N by key hash (the slowest reads are always kept).
 // -metrics FILE samples time-series metrics (spine utilization, repair
@@ -91,7 +95,7 @@ import (
 // records, and the repair-rate timeline.
 const benchSchemaVersion = 2
 
-// runRecord is one instrumented run inside the -json report.
+// runRecord is one simulated run inside the -json report.
 type runRecord struct {
 	Experiment         string             `json:"experiment"`
 	Series             string             `json:"series"`
@@ -121,8 +125,8 @@ func main() {
 		redundancy  = flag.String("redundancy", "", "run one YCSB summary with this backend: 'replication', 'rsK,M' (e.g. rs4,2), or 'lrcK,M' (e.g. lrc4,2)")
 		scenario    = flag.String("scenario", "", "run one lifecycle cluster under this fault/recovery timeline: comma-separated <kind>:<index>@<time> events (e.g. 'failrack:0@300ms,revive-server:2@600ms')")
 		jsonOut     = flag.String("json", "", "write results as JSON to this file ('auto' derives BENCH_<exp>.json)")
-		racks       = flag.Int("racks", 0, "rack fault-domain count for cluster experiments like figmr (0 = experiment default; figmr needs >= 3 for spread RS(4,2) and raises smaller values)")
-		crossbw     = flag.Float64("crossbw", 0, "cross-rack spine bandwidth in MB/s for cluster experiments (0 = experiment default)")
+		racks       = flag.Int("racks", 0, "rack fault-domain count for the cluster experiments (figmr, figrl, figsc, figslo, figra) and -scenario; values below 3, the minimum for spread RS(4,2), are raised to 3")
+		crossbw     = flag.Float64("crossbw", 0, "cross-rack spine bandwidth in MB/s for the cluster experiments and -scenario (0 = experiment default)")
 		repairSLO   = flag.Duration("repair-slo", 0, "foreground read p99 SLO target for repair pacing, as a Go duration (e.g. 5ms): overrides figslo's auto-derived target and enables the pacer for -scenario runs (0 = figslo auto-derives, -scenario runs unpaced)")
 		traceOut    = flag.String("trace", "", "enable the flight recorder and write the last instrumented run's spans as Chrome trace-event JSON to this file (load in Perfetto)")
 		traceSample = flag.Int("trace-sample", 0, "head-sampling rate for -trace: keep one request in N by key hash (0 = default 16; slowest reads are always kept)")
@@ -137,7 +141,7 @@ func main() {
 	if *metricsOut != "" {
 		opt.MetricsInterval = sim.Millisecond
 	}
-	// Every instrumented run lands one record in the -json report; the
+	// Every simulated run lands one record in the -json report; the
 	// last run's artifacts back the -trace and -metrics files (for
 	// figslo that is the paced run — the one worth staring at).
 	var runs []runRecord
@@ -196,7 +200,7 @@ func main() {
 			os.Exit(1)
 		}
 		ids = []string{"redundancy"}
-		t, err := experiments.RedundancySummary(spec, experiments.Scale(*scale))
+		t, err := experiments.RedundancySummary(spec, experiments.Scale(*scale), opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rackbench:", err)
 			os.Exit(1)
@@ -210,7 +214,7 @@ func main() {
 		}
 		for _, id := range ids {
 			start := time.Now()
-			ts, err := experiments.ByIDWith(strings.TrimSpace(id), experiments.Scale(*scale), opt)
+			ts, err := experiments.ByID(strings.TrimSpace(id), experiments.Scale(*scale), opt)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "rackbench:", err)
 				os.Exit(1)
@@ -252,7 +256,7 @@ func main() {
 
 	if *traceOut != "" {
 		if lastTrace == nil {
-			fmt.Fprintln(os.Stderr, "rackbench: -trace: no instrumented run produced a trace (the flight recorder covers the cluster experiments: figec, figmr, figrl, figsc, figslo, -scenario)")
+			fmt.Fprintln(os.Stderr, "rackbench: -trace: no run produced a trace: the selected experiments simulate no rack")
 			os.Exit(1)
 		}
 		if err := writeArtifact(*traceOut, lastTrace.WriteChromeTrace); err != nil {
@@ -263,7 +267,7 @@ func main() {
 	}
 	if *metricsOut != "" {
 		if lastMetrics == nil {
-			fmt.Fprintln(os.Stderr, "rackbench: -metrics: no instrumented run sampled metrics (the sampler covers the cluster experiments: figec, figmr, figrl, figsc, figslo, -scenario)")
+			fmt.Fprintln(os.Stderr, "rackbench: -metrics: no run sampled metrics: the selected experiments simulate no rack")
 			os.Exit(1)
 		}
 		if err := writeArtifact(*metricsOut, lastMetrics.WriteCSV); err != nil {

@@ -10,11 +10,7 @@ import (
 // the same encoding cmd/rackbench -json writes.
 func replayJSON(t *testing.T, id string) []byte {
 	t.Helper()
-	tables, err := ByID(id, tiny)
-	if err != nil {
-		t.Fatalf("ByID(%q): %v", id, err)
-	}
-	b, err := json.Marshal(tables)
+	b, err := json.Marshal(runTables(t, id, tiny))
 	if err != nil {
 		t.Fatalf("marshal %q: %v", id, err)
 	}
@@ -83,7 +79,7 @@ func TestBenchTablesUnchanged(t *testing.T) {
 	for _, e := range registry {
 		t.Run(e.id, func(t *testing.T) {
 			t.Parallel()
-			for _, tb := range e.run(Scale(report.Scale), Options{}) {
+			for _, tb := range runTables(t, e.id, Scale(report.Scale)) {
 				got, err := json.Marshal(tb)
 				if err != nil {
 					t.Fatalf("marshal %s: %v", tb.ID, err)
@@ -107,7 +103,7 @@ func TestBenchTablesUnchanged(t *testing.T) {
 // no stripes while paying nonzero metered cross-rack repair bandwidth;
 // compact placement loses whole stripe groups.
 func TestFigMRPlacementSurvivesRackFailure(t *testing.T) {
-	tb := FigMR(tiny, Options{})
+	tb := runTables(t, "figmr", tiny)[0]
 	if len(tb.Rows) != 4 { // 2 scenarios x 2 placements
 		t.Fatalf("rows = %d, want 4", len(tb.Rows))
 	}
@@ -147,8 +143,5 @@ func TestFigMRPlacementSurvivesRackFailure(t *testing.T) {
 				t.Errorf("%s / %s lost data without a failure: %+v", series, x, r.Values)
 			}
 		}
-	}
-	if _, err := ByID("figmr", tiny); err != nil {
-		t.Fatalf("ByID(figmr): %v", err)
 	}
 }

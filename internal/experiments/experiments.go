@@ -1,7 +1,12 @@
 // Package experiments regenerates every table and figure of the RackBlox
-// evaluation (§4). Each Fig* function runs the corresponding sweep on the
-// simulated rack and returns printable rows; cmd/rackbench renders them,
-// and the repository-root benchmarks call them at reduced scale.
+// evaluation (§4) and the cluster experiments beyond it. Each experiment
+// is a declaration — the configs it runs and the columns it reads from
+// each run's Result — over one run shell, runner, the package's only
+// caller of core.Run: it applies the observability Options to every
+// simulated run, paper figures included, and reports each Result to
+// Options.OnResult under the experiment id and a "series/x" label.
+// cmd/rackbench renders the tables, and the repository-root benchmarks
+// call them at reduced scale.
 package experiments
 
 import (
@@ -72,11 +77,150 @@ func (t *Table) Format() string {
 	return b.String()
 }
 
-// mixes are the YCSB read/write splits of Figs. 9-12 and 15-16.
-var mixes = []float64{0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0}
+// Options tunes experiment runs; zero fields keep each experiment's
+// defaults. Racks, CrossBWMBps and RepairSLOTarget shape the cluster
+// experiments (cmd/rackbench -racks, -crossbw, -repair-slo). Trace,
+// MetricsInterval and OnResult observe every simulated run of every
+// experiment, the paper figures included.
+type Options struct {
+	// Racks overrides the rack fault-domain count.
+	Racks int
+	// CrossBWMBps overrides the spine/aggregation link bandwidth in MB/s.
+	CrossBWMBps float64
+	// RepairSLOTarget overrides the foreground read p99 target of the
+	// SLO-pacing experiments (figslo) and enables pacing for -scenario
+	// runs; 0 keeps figslo's auto-derived target (a multiple of the
+	// healthy baseline's p99) and leaves -scenario runs unpaced.
+	RepairSLOTarget sim.Time
+	// Trace enables the flight recorder for every run the experiment
+	// executes (cmd/rackbench -trace). Observer-only: the tabulated
+	// numbers are byte-identical with or without it.
+	Trace trace.Options
+	// MetricsInterval arms the time-series sampler for every run
+	// (cmd/rackbench -metrics); 0 leaves it off.
+	MetricsInterval sim.Time
+	// OnResult, when set, receives every run's full Result as it
+	// completes, keyed by the experiment id and a "series/x" label that
+	// is unique within the experiment — how cmd/rackbench collects
+	// traces, timelines, and per-run counters for its JSON report.
+	OnResult func(id, series string, res *core.Result)
+}
 
-func mixLabel(writeFrac float64) string {
-	return workload.Mix(int(100 - writeFrac*100 + 0.5))
+// instrument applies the observability knobs to one run's config.
+func (o Options) instrument(cfg *core.Config) {
+	cfg.Trace = o.Trace
+	cfg.MetricsInterval = o.MetricsInterval
+}
+
+// notify hands one completed run to the OnResult hook, if any.
+func (o Options) notify(id, series string, res *core.Result) {
+	if o.OnResult != nil {
+		o.OnResult(id, series, res)
+	}
+}
+
+// runner is the run shell of one experiment: every simulated run of
+// the package goes through it.
+type runner struct {
+	id  string
+	opt Options
+}
+
+// try runs one config with the observability options applied and
+// reports the Result to OnResult under label.
+func (r runner) try(label string, cfg core.Config) (*core.Result, error) {
+	r.opt.instrument(&cfg)
+	res, err := core.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	r.opt.notify(r.id, label, res)
+	return res, nil
+}
+
+// run is try for the configs an experiment declares itself: an error
+// there is a bug in the declaration, so it panics naming the run.
+func (r runner) run(label string, cfg core.Config) *core.Result {
+	res, err := r.try(label, cfg)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %s/%s: %v", r.id, label, err))
+	}
+	return res
+}
+
+func ms(ns int64) float64 { return float64(ns) / 1e6 }
+
+// metrics computes every named per-run column of the cluster tables
+// from one run's Result. A table declares its columns by name and pick
+// fills them; some quantities go by several names, one per table that
+// reports them.
+var metrics = map[string]func(*core.Result) float64{
+	"read_mean_ms":         func(r *core.Result) float64 { return r.Recorder.Reads().Mean() / 1e6 },
+	"read_p99_ms":          readP99,
+	"p99_ms":               readP99,
+	"p999_ms":              func(r *core.Result) float64 { return ms(r.Recorder.Reads().P999()) },
+	"kiops":                func(r *core.Result) float64 { return r.Recorder.Throughput() / 1000 },
+	"write_amp":            func(r *core.Result) float64 { return r.WriteAmp },
+	"degraded":             func(r *core.Result) float64 { return float64(r.DegradedReads) },
+	"degraded_post_repair": func(r *core.Result) float64 { return float64(r.DegradedReadsPostRepair) },
+	"local_degraded":       func(r *core.Result) float64 { return float64(r.LocalDegradedReads) },
+	"lost_reads":           func(r *core.Result) float64 { return float64(r.LostReads) },
+	"unrecov_stripes":      func(r *core.Result) float64 { return float64(r.UnrecoverableStripes) },
+	"repaired":             func(r *core.Result) float64 { return float64(r.RepairedStripes) },
+	"repair_pending":       repairPending,
+	"pending":              repairPending,
+	"local_repair":         func(r *core.Result) float64 { return float64(r.LocalRepairStripes) },
+	"agg_repair":           func(r *core.Result) float64 { return float64(r.AggregatedRepairStripes) },
+	"reintegrated_stripes": func(r *core.Result) float64 { return float64(r.ReintegratedStripes) },
+	"restored_holders":     func(r *core.Result) float64 { return float64(r.RestoredHolders) },
+	"server_revivals":      func(r *core.Result) float64 { return float64(r.ServerRevivals) },
+	"tor_revivals":         func(r *core.Result) float64 { return float64(r.ToRRevivals) },
+	"handoffs":             func(r *core.Result) float64 { return float64(r.Switch.Handoffs) },
+	"cross_repair_mb":      repairMB,
+	"repair_cross_mb":      repairMB,
+	"repair_mb":            repairMB,
+	"repair_mb_offered":    func(r *core.Result) float64 { return float64(r.CrossRackRepairBytesOffered) / 1e6 },
+	"fg_cross_mb":          foregroundMB,
+	"fg_mb":                foregroundMB,
+	"spine_util":           func(r *core.Result) float64 { return r.SpineUtilization },
+	"viol_frac":            sloViolations,
+	"slo_viol_frac":        sloViolations,
+	"repair_done_ms":       func(r *core.Result) float64 { return ms(r.RepairCompletionTime) },
+	"final_rate_mbps": func(r *core.Result) float64 {
+		if n := len(r.RepairRateTimeline); n > 0 {
+			return r.RepairRateTimeline[n-1].MBps
+		}
+		return 0
+	},
+	// Spine chunks shipped per repaired stripe: the per-stripe cross-rack
+	// cost of rebuilding one lost chunk (RS fetches most of its k sources
+	// remotely; aggregation caps the count at the remote rack count).
+	"cross_chunks_per_stripe": func(r *core.Result) float64 {
+		if r.RepairedStripes == 0 {
+			return 0
+		}
+		pageMB := float64(r.Config.Geometry.PageSize) / 1e6
+		return float64(r.CrossRackRepairBytes) / 1e6 / (pageMB * float64(r.RepairedStripes))
+	},
+}
+
+func readP99(r *core.Result) float64       { return ms(r.Recorder.Reads().P99()) }
+func repairPending(r *core.Result) float64 { return float64(r.RepairPending) }
+func repairMB(r *core.Result) float64      { return float64(r.CrossRackRepairBytes) / 1e6 }
+func foregroundMB(r *core.Result) float64  { return float64(r.ForegroundCrossRackBytes) / 1e6 }
+func sloViolations(r *core.Result) float64 { return r.SLOViolationFraction }
+
+// pick fills the named columns from one run. Columns outside metrics —
+// a figure's own derived values, like vs_healthy — are left to the
+// caller.
+func pick(res *core.Result, cols []string) map[string]float64 {
+	v := make(map[string]float64, len(cols))
+	for _, c := range cols {
+		if f, ok := metrics[c]; ok {
+			v[c] = f(res)
+		}
+	}
+	return v
 }
 
 // baseConfig is the shared experiment setup (§4.1).
@@ -86,56 +230,122 @@ func baseConfig(scale Scale) core.Config {
 	return cfg
 }
 
-// runYCSB runs one (system, write fraction) cell.
-func runYCSB(sys core.System, writeFrac float64, scale Scale, seed int64) *core.Result {
-	cfg := baseConfig(scale)
-	cfg.System = sys
-	cfg.Seed = seed
-	cfg.Workload.WriteFrac = writeFrac
-	res, err := core.Run(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return res
+// point is one x position of a grid axis: its label and the config
+// change that runs it.
+type point struct {
+	x   string
+	set func(*core.Config)
 }
 
-// ycsbSweep produces one row per (system, mix) with the chosen metric.
-func ycsbSweep(id, title string, scale Scale, readSide bool,
-	metric func(*stats.Recorder) float64) *Table {
+// mixes are the YCSB read/write splits of Figs. 9-12 and 15-16. Read
+// metrics exclude the write-only mix, write metrics the read-only one.
+var (
+	mixes      = mixAxis(0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0)
+	readMixes  = mixes[:len(mixes)-1]
+	writeMixes = mixes[1:]
+)
 
-	t := &Table{ID: id, Title: title, Cols: []string{"value", "norm_vs_vdc"}}
-	for _, mix := range mixes {
-		if readSide && mix == 1.0 {
-			continue // read metrics exclude the write-only mix
-		}
-		if !readSide && mix == 0 {
-			continue // write metrics exclude the read-only mix
-		}
-		var vdcVal float64
+func mixAxis(writeFracs ...float64) []point {
+	var ps []point
+	for _, f := range writeFracs {
+		ps = append(ps, point{mixLabel(f), func(c *core.Config) { c.Workload.WriteFrac = f }})
+	}
+	return ps
+}
+
+func mixLabel(writeFrac float64) string {
+	return workload.Mix(int(100 - writeFrac*100 + 0.5))
+}
+
+// benchBase is the axis of the five BenchBase workloads (Figs. 13-14).
+var benchBase = func() []point {
+	var ps []point
+	for _, name := range workload.Names() {
+		ps = append(ps, point{name, func(c *core.Config) {
+			c.Workload = core.WorkloadSpec{Name: name, MeanGap: c.Workload.MeanGap}
+		}})
+	}
+	return ps
+}()
+
+// grid runs one experiment's (system × x) cells on demand and keeps
+// each Result, so the tables projected from one grid run every distinct
+// cell once. Each cell is a pure function of its config.
+type grid struct {
+	r     runner
+	scale Scale
+	cells map[string]*core.Result
+}
+
+func newGrid(r runner, scale Scale) *grid {
+	return &grid{r: r, scale: scale, cells: make(map[string]*core.Result)}
+}
+
+// table projects one table from the grid: a row per x in xs and per
+// system, in that order, filled by values from the cell's Result.
+func (g *grid) table(id, title string, cols []string, xs []point,
+	values func(*core.Result) map[string]float64) *Table {
+
+	t := &Table{ID: id, Title: title, Cols: cols}
+	for _, p := range xs {
 		for _, sys := range core.Systems() {
-			res := runYCSB(sys, mix, scale, 1)
-			v := metric(res.Recorder)
-			if sys == core.VDC {
-				vdcVal = v
+			label := sys.String() + "/" + p.x
+			res, ok := g.cells[label]
+			if !ok {
+				cfg := baseConfig(g.scale)
+				cfg.System = sys
+				p.set(&cfg)
+				res = g.r.run(label, cfg)
+				g.cells[label] = res
 			}
-			norm := 0.0
-			if vdcVal > 0 {
-				norm = v / vdcVal
-			}
-			t.Rows = append(t.Rows, Row{
-				Series: sys.String(),
-				X:      mixLabel(mix),
-				Values: map[string]float64{"value": v, "norm_vs_vdc": norm},
-			})
+			t.Rows = append(t.Rows, Row{Series: sys.String(), X: p.x, Values: values(res)})
 		}
 	}
 	return t
 }
 
-func ms(ns int64) float64 { return float64(ns) / 1e6 }
+// normalized projects one metric as "value" and "norm_vs_vdc", the
+// value over VDC's at the same x (VDC is the first system at every x).
+func (g *grid) normalized(id, title string, xs []point, metric func(*core.Result) float64) *Table {
+	var vdc float64
+	return g.table(id, title, []string{"value", "norm_vs_vdc"}, xs, func(res *core.Result) map[string]float64 {
+		v := metric(res)
+		if res.System == core.VDC {
+			vdc = v
+		}
+		norm := 0.0
+		if vdc > 0 {
+			norm = v / vdc
+		}
+		return map[string]float64{"value": v, "norm_vs_vdc": norm}
+	})
+}
 
-// Table2 reproduces the workload table.
-func Table2() *Table {
+// latencyPair declares a figure's read (a) and write (b) panels of one
+// latency statistic, normalized to VDC, over one grid.
+func latencyPair(fig, stat, over string, reads, writes []point, of func(stats.Dist) float64) func(runner, Scale) []*Table {
+	return func(r runner, scale Scale) []*Table {
+		g := newGrid(r, scale)
+		return []*Table{
+			g.normalized(fig+"a", stat+" read latency (ms), "+over, reads,
+				func(res *core.Result) float64 { return of(res.Recorder.Reads()) }),
+			g.normalized(fig+"b", stat+" write latency (ms), "+over, writes,
+				func(res *core.Result) float64 { return of(res.Recorder.Writes()) }),
+		}
+	}
+}
+
+// throughput declares a figure of every cell's KIOPS over one axis.
+func throughput(id, over string, xs []point) func(runner, Scale) []*Table {
+	return func(r runner, scale Scale) []*Table {
+		cols := []string{"kiops"}
+		return []*Table{newGrid(r, scale).table(id, "Throughput (KIOPS), "+over, cols, xs,
+			func(res *core.Result) map[string]float64 { return pick(res, cols) })}
+	}
+}
+
+// table2 reproduces the workload table.
+func table2(runner, Scale) []*Table {
 	t := &Table{ID: "Table2", Title: "Workloads used in the evaluation", Cols: []string{"write_pct"}}
 	for _, row := range workload.Table2() {
 		pct := row.WritePct
@@ -147,330 +357,181 @@ func Table2() *Table {
 		t.Rows = append(t.Rows, Row{Series: label, X: row.Description,
 			Values: map[string]float64{"write_pct": pct}})
 	}
-	return t
+	return []*Table{t}
 }
 
-// Fig9a: P99.9 read latency across YCSB mixes (normalized to VDC).
-func Fig9a(scale Scale) *Table {
-	return ycsbSweep("Fig9a", "P99.9 read latency (ms), YCSB mixes", scale, true,
-		func(r *stats.Recorder) float64 { return ms(r.Reads().P999()) })
-}
-
-// Fig9b: P99.9 write latency across YCSB mixes.
-func Fig9b(scale Scale) *Table {
-	return ycsbSweep("Fig9b", "P99.9 write latency (ms), YCSB mixes", scale, false,
-		func(r *stats.Recorder) float64 { return ms(r.Writes().P999()) })
-}
-
-// Fig10a/b: P99 latencies.
-func Fig10a(scale Scale) *Table {
-	return ycsbSweep("Fig10a", "P99 read latency (ms), YCSB mixes", scale, true,
-		func(r *stats.Recorder) float64 { return ms(r.Reads().P99()) })
-}
-
-func Fig10b(scale Scale) *Table {
-	return ycsbSweep("Fig10b", "P99 write latency (ms), YCSB mixes", scale, false,
-		func(r *stats.Recorder) float64 { return ms(r.Writes().P99()) })
-}
-
-// Fig11a/b: average latencies.
-func Fig11a(scale Scale) *Table {
-	return ycsbSweep("Fig11a", "Average read latency (ms), YCSB mixes", scale, true,
-		func(r *stats.Recorder) float64 { return r.Reads().Mean() / 1e6 })
-}
-
-func Fig11b(scale Scale) *Table {
-	return ycsbSweep("Fig11b", "Average write latency (ms), YCSB mixes", scale, false,
-		func(r *stats.Recorder) float64 { return r.Writes().Mean() / 1e6 })
-}
-
-// Fig12: throughput (KIOPS) across mixes, including both pure mixes.
-func Fig12(scale Scale) *Table {
-	t := &Table{ID: "Fig12", Title: "Throughput (KIOPS), YCSB mixes", Cols: []string{"kiops"}}
-	for _, mix := range mixes {
-		for _, sys := range core.Systems() {
-			res := runYCSB(sys, mix, scale, 1)
-			t.Rows = append(t.Rows, Row{
-				Series: sys.String(),
-				X:      mixLabel(mix),
-				Values: map[string]float64{"kiops": res.Recorder.Throughput() / 1000},
-			})
-		}
+// fig15: P99.9 latency breakdown — storage-only vs end-to-end.
+func fig15(r runner, scale Scale) []*Table {
+	g := newGrid(r, scale)
+	cols := []string{"total", "storage"}
+	breakdown := func(total, storage stats.Dist) map[string]float64 {
+		return map[string]float64{"total": ms(total.P999()), "storage": ms(storage.P999())}
 	}
-	return t
-}
-
-// runBench runs one (system, BenchBase workload) cell.
-func runBench(sys core.System, name string, scale Scale) *core.Result {
-	cfg := baseConfig(scale)
-	cfg.System = sys
-	cfg.Workload = core.WorkloadSpec{Name: name, MeanGap: cfg.Workload.MeanGap}
-	res, err := core.Run(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+	return []*Table{
+		g.table("Fig15a", "P99.9 read latency breakdown (ms)", cols, readMixes,
+			func(res *core.Result) map[string]float64 {
+				return breakdown(res.Recorder.Reads(), res.Recorder.ReadStorage())
+			}),
+		g.table("Fig15b", "P99.9 write latency breakdown (ms)", cols, writeMixes,
+			func(res *core.Result) map[string]float64 {
+				return breakdown(res.Recorder.Writes(), res.Recorder.WriteStorage())
+			}),
 	}
-	return res
 }
 
-// Fig13a/b: P99.9 read/write latency for the five BenchBase workloads.
-func Fig13a(scale Scale) *Table {
-	t := &Table{ID: "Fig13a", Title: "P99.9 read latency (ms), BenchBase workloads", Cols: []string{"value", "norm_vs_vdc"}}
-	benchSweep(t, scale, func(r *stats.Recorder) float64 { return ms(r.Reads().P999()) })
-	return t
+// tailCols are the read-tail CDF columns of Figs. 16, 19 and 21.
+var tailCols = []string{"p98.5", "p99", "p99.5", "p99.9"}
+
+// tail reads one run's read latency at the tailCols percentiles.
+func tail(res *core.Result) map[string]float64 {
+	pts := res.Recorder.Reads().TailCDF()
+	v := make(map[string]float64, len(tailCols))
+	for i, c := range tailCols {
+		v[c] = ms(pts[i].Latency)
+	}
+	return v
 }
 
-func Fig13b(scale Scale) *Table {
-	t := &Table{ID: "Fig13b", Title: "P99.9 write latency (ms), BenchBase workloads", Cols: []string{"value", "norm_vs_vdc"}}
-	benchSweep(t, scale, func(r *stats.Recorder) float64 { return ms(r.Writes().P999()) })
-	return t
+// fig16: cumulative distribution of read latency (P98.5..P99.9) per mix.
+func fig16(r runner, scale Scale) []*Table {
+	return []*Table{newGrid(r, scale).table("Fig16", "Read latency tail CDF (ms)", tailCols, readMixes, tail)}
 }
 
-func benchSweep(t *Table, scale Scale, metric func(*stats.Recorder) float64) {
-	for _, name := range workload.Names() {
-		var vdcVal float64
-		for _, sys := range core.Systems() {
-			res := runBench(sys, name, scale)
-			v := metric(res.Recorder)
-			if sys == core.VDC {
-				vdcVal = v
+// coordPoint is one base-vs-coordinated pair of Figs. 17-18: the
+// scheduler it names, the YCSB write fraction, and the config knob that
+// selects the scheduler.
+type coordPoint struct {
+	name string
+	mix  float64
+	set  func(*core.Config)
+}
+
+// coordSweep runs RackBlox at each point with coordinated I/O forced
+// off, then on, and reports P99.9 reads and the coordinated run's
+// speedup over its base.
+func coordSweep(r runner, scale Scale, id, title string, points []coordPoint) []*Table {
+	t := &Table{ID: id, Title: title, Cols: []string{"value", "speedup_vs_base"}}
+	for _, p := range points {
+		var base float64
+		for _, coord := range []bool{false, true} {
+			cfg := baseConfig(scale)
+			cfg.System = core.RackBlox
+			p.set(&cfg)
+			cfg.Workload.WriteFrac = p.mix
+			name := p.name
+			cfg.CoordinatedOverride = -1
+			if coord {
+				name = "RackBlox (" + p.name + ")"
+				cfg.CoordinatedOverride = 1
 			}
-			norm := 0.0
-			if vdcVal > 0 {
-				norm = v / vdcVal
+			v := ms(r.run(name+"/"+mixLabel(p.mix), cfg).Recorder.Reads().P999())
+			if !coord {
+				base = v
 			}
-			t.Rows = append(t.Rows, Row{Series: sys.String(), X: name,
-				Values: map[string]float64{"value": v, "norm_vs_vdc": norm}})
-		}
-	}
-}
-
-// Fig14: throughput for the BenchBase workloads.
-func Fig14(scale Scale) *Table {
-	t := &Table{ID: "Fig14", Title: "Throughput (KIOPS), BenchBase workloads", Cols: []string{"kiops"}}
-	for _, name := range workload.Names() {
-		for _, sys := range core.Systems() {
-			res := runBench(sys, name, scale)
-			t.Rows = append(t.Rows, Row{Series: sys.String(), X: name,
-				Values: map[string]float64{"kiops": res.Recorder.Throughput() / 1000}})
-		}
-	}
-	return t
-}
-
-// Fig15a/b: P99.9 latency breakdown — storage-only vs end-to-end.
-func Fig15a(scale Scale) *Table {
-	t := &Table{ID: "Fig15a", Title: "P99.9 read latency breakdown (ms)", Cols: []string{"total", "storage"}}
-	breakdownSweep(t, scale, true)
-	return t
-}
-
-func Fig15b(scale Scale) *Table {
-	t := &Table{ID: "Fig15b", Title: "P99.9 write latency breakdown (ms)", Cols: []string{"total", "storage"}}
-	breakdownSweep(t, scale, false)
-	return t
-}
-
-func breakdownSweep(t *Table, scale Scale, readSide bool) {
-	for _, mix := range mixes {
-		if readSide && mix == 1.0 || !readSide && mix == 0 {
-			continue
-		}
-		for _, sys := range core.Systems() {
-			res := runYCSB(sys, mix, scale, 1)
-			var total, storage int64
-			if readSide {
-				total = res.Recorder.Reads().P999()
-				storage = res.Recorder.ReadStorage().P999()
-			} else {
-				total = res.Recorder.Writes().P999()
-				storage = res.Recorder.WriteStorage().P999()
+			sp := 0.0
+			if v > 0 && base > 0 {
+				sp = base / v
 			}
-			t.Rows = append(t.Rows, Row{Series: sys.String(), X: mixLabel(mix),
-				Values: map[string]float64{"total": ms(total), "storage": ms(storage)}})
+			t.Rows = append(t.Rows, Row{Series: name, X: mixLabel(p.mix),
+				Values: map[string]float64{"value": v, "speedup_vs_base": sp}})
 		}
 	}
+	return []*Table{t}
 }
 
-// Fig16: cumulative distribution of read latency (P98.5..P99.9) per mix.
-func Fig16(scale Scale) *Table {
-	t := &Table{ID: "Fig16", Title: "Read latency tail CDF (ms)",
-		Cols: []string{"p98.5", "p99", "p99.5", "p99.9"}}
-	for _, mix := range mixes {
-		if mix == 1.0 {
-			continue
-		}
-		for _, sys := range core.Systems() {
-			res := runYCSB(sys, mix, scale, 1)
-			pts := res.Recorder.Reads().TailCDF()
-			t.Rows = append(t.Rows, Row{Series: sys.String(), X: mixLabel(mix),
-				Values: map[string]float64{
-					"p98.5": ms(pts[0].Latency), "p99": ms(pts[1].Latency),
-					"p99.5": ms(pts[2].Latency), "p99.9": ms(pts[3].Latency),
-				}})
-		}
-	}
-	return t
-}
-
-// Fig17: coordinated I/O under different storage schedulers, P99.9 reads.
-func Fig17(scale Scale) *Table {
-	t := &Table{ID: "Fig17", Title: "P99.9 read latency (ms) by storage scheduler",
-		Cols: []string{"value", "speedup_vs_base"}}
-	policies := []sched.Policy{sched.FIFO, sched.Deadline, sched.Kyber}
+// fig17: coordinated I/O under different storage schedulers, P99.9 reads.
+func fig17(r runner, scale Scale) []*Table {
+	var points []coordPoint
 	for _, mix := range []float64{0.2, 0.5} {
-		for _, pol := range policies {
-			var base float64
-			for _, coord := range []bool{false, true} {
-				cfg := baseConfig(scale)
-				cfg.System = core.RackBlox
-				cfg.SchedPolicy = pol
-				cfg.Workload.WriteFrac = mix
-				if coord {
-					cfg.CoordinatedOverride = 1
-				} else {
-					cfg.CoordinatedOverride = -1
-				}
-				res, err := core.Run(cfg)
-				if err != nil {
-					panic(err)
-				}
-				v := ms(res.Recorder.Reads().P999())
-				name := pol.String()
-				if coord {
-					name = "RackBlox (" + pol.String() + ")"
-				} else {
-					base = v
-				}
-				sp := 0.0
-				if v > 0 && base > 0 {
-					sp = base / v
-				}
-				t.Rows = append(t.Rows, Row{Series: name, X: mixLabel(mix),
-					Values: map[string]float64{"value": v, "speedup_vs_base": sp}})
-			}
+		for _, pol := range []sched.Policy{sched.FIFO, sched.Deadline, sched.Kyber} {
+			points = append(points, coordPoint{pol.String(), mix, func(c *core.Config) { c.SchedPolicy = pol }})
 		}
 	}
-	return t
+	return coordSweep(r, scale, "Fig17", "P99.9 read latency (ms) by storage scheduler", points)
 }
 
-// Fig18: coordinated I/O under different network schedulers, P99.9 reads.
-func Fig18(scale Scale) *Table {
-	t := &Table{ID: "Fig18", Title: "P99.9 read latency (ms) by network scheduler",
-		Cols: []string{"value", "speedup_vs_base"}}
+// fig18: coordinated I/O under different network schedulers, P99.9 reads.
+func fig18(r runner, scale Scale) []*Table {
+	var points []coordPoint
 	for _, q := range []string{"FQ", "Priority", "TB"} {
 		for _, mix := range []float64{0.2, 0.5} {
-			var base float64
-			for _, coord := range []bool{false, true} {
-				cfg := baseConfig(scale)
-				cfg.System = core.RackBlox
-				cfg.Qdisc = q
-				cfg.Workload.WriteFrac = mix
-				if coord {
-					cfg.CoordinatedOverride = 1
-				} else {
-					cfg.CoordinatedOverride = -1
-				}
-				res, err := core.Run(cfg)
-				if err != nil {
-					panic(err)
-				}
-				v := ms(res.Recorder.Reads().P999())
-				name := q
-				if coord {
-					name = "RackBlox (" + q + ")"
-				} else {
-					base = v
-				}
-				sp := 0.0
-				if v > 0 && base > 0 {
-					sp = base / v
-				}
-				t.Rows = append(t.Rows, Row{Series: name, X: mixLabel(mix),
-					Values: map[string]float64{"value": v, "speedup_vs_base": sp}})
-			}
+			points = append(points, coordPoint{q, mix, func(c *core.Config) { c.Qdisc = q }})
 		}
 	}
-	return t
+	return coordSweep(r, scale, "Fig18", "P99.9 read latency (ms) by network scheduler", points)
 }
 
-// deviceProfiles and netProfiles for Figs. 19-20.
-func deviceProfiles() []flash.Profile {
-	return []flash.Profile{flash.ProfileOptane(), flash.ProfileIntelDC(), flash.ProfilePSSD()}
+// profilePair is one SSD x network combination of Figs. 19-20.
+type profilePair struct {
+	name string
+	dev  flash.Profile
+	net  netsim.Profile
+}
+
+// profilePairs lists every SSD x network combination, devices outer.
+func profilePairs() []profilePair {
+	var ps []profilePair
+	for _, dev := range []flash.Profile{flash.ProfileOptane(), flash.ProfileIntelDC(), flash.ProfilePSSD()} {
+		for _, net := range netProfiles() {
+			ps = append(ps, profilePair{dev.Name + "+" + net.Name, dev, net})
+		}
+	}
+	return ps
 }
 
 func netProfiles() []netsim.Profile {
 	return []netsim.Profile{netsim.ProfileFast(), netsim.ProfileMedium(), netsim.ProfileSlow()}
 }
 
-// Fig19: read tail CDF of YCSB-A for every SSD x network combination.
-func Fig19(scale Scale) *Table {
-	t := &Table{ID: "Fig19", Title: "YCSB-A read tail (ms), SSD x network grid",
-		Cols: []string{"p98.5", "p99", "p99.5", "p99.9"}}
-	for _, dev := range deviceProfiles() {
-		for _, net := range netProfiles() {
-			for _, sys := range []core.System{core.VDC, core.RackBlox} {
-				cfg := baseConfig(scale)
-				cfg.System = sys
-				cfg.Device = dev
-				cfg.Net = net
-				cfg.Workload.WriteFrac = 0.5 // YCSB-A
-				res, err := core.Run(cfg)
-				if err != nil {
-					panic(err)
-				}
-				pts := res.Recorder.Reads().TailCDF()
-				t.Rows = append(t.Rows, Row{Series: sys.String(),
-					X: dev.Name + "+" + net.Name,
-					Values: map[string]float64{
-						"p98.5": ms(pts[0].Latency), "p99": ms(pts[1].Latency),
-						"p99.5": ms(pts[2].Latency), "p99.9": ms(pts[3].Latency),
-					}})
-			}
-		}
-	}
-	return t
+// profileRun runs one system on one SSD x network pair at a YCSB write
+// fraction.
+func profileRun(r runner, scale Scale, label string, sys core.System, pp profilePair, writeFrac float64) *core.Result {
+	cfg := baseConfig(scale)
+	cfg.System = sys
+	cfg.Device = pp.dev
+	cfg.Net = pp.net
+	cfg.Workload.WriteFrac = writeFrac
+	return r.run(label, cfg)
 }
 
-// Fig20: P99.9 read speedup of RackBlox over VDC for YCSB-A/B/C across the
-// device x network grid.
-func Fig20(scale Scale) *Table {
+// fig19: read tail CDF of YCSB-A for every SSD x network combination.
+func fig19(r runner, scale Scale) []*Table {
+	t := &Table{ID: "Fig19", Title: "YCSB-A read tail (ms), SSD x network grid", Cols: tailCols}
+	for _, pp := range profilePairs() {
+		for _, sys := range []core.System{core.VDC, core.RackBlox} {
+			res := profileRun(r, scale, sys.String()+"/"+pp.name, sys, pp, 0.5) // YCSB-A
+			t.Rows = append(t.Rows, Row{Series: sys.String(), X: pp.name, Values: tail(res)})
+		}
+	}
+	return []*Table{t}
+}
+
+// fig20: P99.9 read speedup of RackBlox over VDC for YCSB-A/B/C across
+// the device x network grid.
+func fig20(r runner, scale Scale) []*Table {
 	t := &Table{ID: "Fig20", Title: "P99.9 read speedup vs VDC (x)", Cols: []string{"speedup"}}
 	ycsbs := []struct {
 		name string
 		frac float64
 	}{{"YCSB-A", 0.5}, {"YCSB-B", 0.05}, {"YCSB-C", 0.0}}
 	for _, y := range ycsbs {
-		for _, dev := range deviceProfiles() {
-			for _, net := range netProfiles() {
-				var vdc, rb int64
-				for _, sys := range []core.System{core.VDC, core.RackBlox} {
-					cfg := baseConfig(scale)
-					cfg.System = sys
-					cfg.Device = dev
-					cfg.Net = net
-					cfg.Workload.WriteFrac = y.frac
-					res, err := core.Run(cfg)
-					if err != nil {
-						panic(err)
-					}
-					if sys == core.VDC {
-						vdc = res.Recorder.Reads().P999()
-					} else {
-						rb = res.Recorder.Reads().P999()
-					}
-				}
-				t.Rows = append(t.Rows, Row{Series: dev.Name + "+" + net.Name, X: y.name,
-					Values: map[string]float64{"speedup": stats.Speedup(vdc, rb)}})
+		for _, pp := range profilePairs() {
+			p999 := func(sys core.System) int64 {
+				label := pp.name + "/" + y.name + "/" + sys.String()
+				return profileRun(r, scale, label, sys, pp, y.frac).Recorder.Reads().P999()
 			}
+			vdc := p999(core.VDC)
+			rb := p999(core.RackBlox)
+			t.Rows = append(t.Rows, Row{Series: pp.name, X: y.name,
+				Values: map[string]float64{"speedup": stats.Speedup(vdc, rb)}})
 		}
 	}
-	return t
+	return []*Table{t}
 }
 
-// Fig21: software- vs hardware-isolated vSSD read tails (YCSB 50/50).
-func Fig21(scale Scale) *Table {
-	t := &Table{ID: "Fig21", Title: "Read tail (ms) by isolation class",
-		Cols: []string{"p98.5", "p99", "p99.5", "p99.9"}}
+// fig21: software- vs hardware-isolated vSSD read tails (YCSB 50/50).
+func fig21(r runner, scale Scale) []*Table {
+	t := &Table{ID: "Fig21", Title: "Read tail (ms) by isolation class", Cols: tailCols}
 	for _, swIso := range []bool{true, false} {
 		x := "HW-Isolated"
 		if swIso {
@@ -482,24 +543,16 @@ func Fig21(scale Scale) *Table {
 			cfg.SoftwareIsolated = swIso
 			cfg.VSSDPairs = 2
 			cfg.Workload.WriteFrac = 0.5
-			res, err := core.Run(cfg)
-			if err != nil {
-				panic(err)
-			}
-			pts := res.Recorder.Reads().TailCDF()
-			t.Rows = append(t.Rows, Row{Series: sys.String(), X: x,
-				Values: map[string]float64{
-					"p98.5": ms(pts[0].Latency), "p99": ms(pts[1].Latency),
-					"p99.5": ms(pts[2].Latency), "p99.9": ms(pts[3].Latency),
-				}})
+			res := r.run(sys.String()+"/"+x, cfg)
+			t.Rows = append(t.Rows, Row{Series: sys.String(), X: x, Values: tail(res)})
 		}
 	}
-	return t
+	return []*Table{t}
 }
 
-// Fig22: per-server wear imbalance after one and two years, with and
+// fig22: per-server wear imbalance after one and two years, with and
 // without swapping.
-func Fig22() *Table {
+func fig22(runner, Scale) []*Table {
 	t := &Table{ID: "Fig22", Title: "Per-server wear imbalance (max/avg)",
 		Cols: []string{"imbalance_mean", "imbalance_max"}}
 	for _, years := range []int{1, 2} {
@@ -532,12 +585,12 @@ func Fig22() *Table {
 				Values: map[string]float64{"imbalance_mean": mean, "imbalance_max": vals[len(vals)-1]}})
 		}
 	}
-	return t
+	return []*Table{t}
 }
 
-// Fig23: rack-scale wear imbalance over 80 weeks for several global swap
+// fig23: rack-scale wear imbalance over 80 weeks for several global swap
 // periods.
-func Fig23() *Table {
+func fig23(runner, Scale) []*Table {
 	t := &Table{ID: "Fig23", Title: "Rack wear imbalance over time (max/avg)",
 		Cols: []string{"week16", "week32", "week48", "week64", "week80"}}
 	configs := []struct {
@@ -569,12 +622,12 @@ func Fig23() *Table {
 		}
 		t.Rows = append(t.Rows, Row{Series: c.series, X: "80 weeks", Values: vals})
 	}
-	return t
+	return []*Table{t}
 }
 
-// PredictorAccuracy validates the §3.4 sliding-window predictor against
+// predictorAccuracy validates the §3.4 sliding-window predictor against
 // the three network regimes.
-func PredictorAccuracy() *Table {
+func predictorAccuracy(runner, Scale) []*Table {
 	t := &Table{ID: "Predictor", Title: "Return-latency predictor accuracy",
 		Cols: []string{"hit_rate", "worst_rel_err"}}
 	for _, prof := range netProfiles() {
@@ -599,12 +652,12 @@ func PredictorAccuracy() *Table {
 		t.Rows = append(t.Rows, Row{Series: prof.Name, X: "50k packets",
 			Values: map[string]float64{"hit_rate": acc.HitRate(), "worst_rel_err": acc.WorstRel}})
 	}
-	return t
+	return []*Table{t}
 }
 
-// GCAblation compares redirect-only against the full delay+background
+// gcAblation compares redirect-only against the full delay+background
 // coordinated GC, a design-choice ablation beyond the paper's figures.
-func GCAblation(scale Scale) *Table {
+func gcAblation(r runner, scale Scale) []*Table {
 	t := &Table{ID: "GCAblation", Title: "Coordinated GC ablation, P99.9 reads (ms)",
 		Cols: []string{"value", "gc_events", "delayed"}}
 	type variant struct {
@@ -619,10 +672,7 @@ func GCAblation(scale Scale) *Table {
 		cfg := baseConfig(scale)
 		cfg.System = core.RackBlox
 		cfg.SoftThreshold = v.soft
-		res, err := core.Run(cfg)
-		if err != nil {
-			panic(err)
-		}
+		res := r.run(v.name, cfg)
 		t.Rows = append(t.Rows, Row{Series: v.name, X: "YCSB 50/50",
 			Values: map[string]float64{
 				"value":     ms(res.Recorder.Reads().P999()),
@@ -630,19 +680,16 @@ func GCAblation(scale Scale) *Table {
 				"delayed":   float64(res.GCDelayed),
 			}})
 	}
-	return t
+	return []*Table{t}
 }
 
-// FigEC compares the two redundancy backends — 2-way Hermes replication
+// figEC compares the two redundancy backends — 2-way Hermes replication
 // and RS(4,2) erasure coding — on an identical six-server rack, opening
 // the replication-vs-EC experiment axis beyond the paper: read tails
 // (degraded reads reconstruct around collectors and failures), the
 // redundancy write cost (2x replicated sub-writes vs 1+m chunk
 // sub-writes), and behavior under a GC storm and under m server crashes.
-func FigEC(scale Scale) *Table { return FigECWith(scale, Options{}) }
-
-// FigECWith is FigEC with observability options threaded through.
-func FigECWith(scale Scale, opt Options) *Table {
+func figEC(r runner, scale Scale) []*Table {
 	t := &Table{ID: "FigEC", Title: "Replication vs RS(4,2): read tail, write cost, degraded reads",
 		Cols: []string{"p99_ms", "p999_ms", "kiops", "write_amp", "degraded", "lost_reads"}}
 	type scenario struct {
@@ -668,68 +715,33 @@ func FigECWith(scale Scale, opt Options) *Table {
 				at := cfg.Warmup + cfg.Duration/4
 				cfg.Scenario = []core.Event{core.FailServer(0, at), core.FailServer(1, at)}
 			}
-			opt.instrument(&cfg)
-			res, err := core.Run(cfg)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: %v", err))
-			}
-			opt.notify("figec", red.String()+"/"+sc.name, res)
-			reads := res.Recorder.Reads()
-			t.Rows = append(t.Rows, Row{Series: red.String(), X: sc.name,
-				Values: map[string]float64{
-					"p99_ms":     ms(reads.P99()),
-					"p999_ms":    ms(reads.P999()),
-					"kiops":      res.Recorder.Throughput() / 1000,
-					"write_amp":  res.WriteAmp,
-					"degraded":   float64(res.DegradedReads),
-					"lost_reads": float64(res.LostReads),
-				}})
+			res := r.run(red.String()+"/"+sc.name, cfg)
+			t.Rows = append(t.Rows, Row{Series: red.String(), X: sc.name, Values: pick(res, t.Cols)})
 		}
 	}
-	return t
+	return []*Table{t}
 }
 
-// Options tunes the cluster-shaped experiments from the command line
-// (cmd/rackbench -racks / -crossbw); zero fields keep each experiment's
-// defaults.
-type Options struct {
-	// Racks overrides the rack fault-domain count.
-	Racks int
-	// CrossBWMBps overrides the spine/aggregation link bandwidth in MB/s.
-	CrossBWMBps float64
-	// RepairSLOTarget overrides the foreground read p99 target of the
-	// SLO-pacing experiments (figslo) and enables pacing for -scenario
-	// runs; 0 keeps figslo's auto-derived target (a multiple of the
-	// healthy baseline's p99) and leaves -scenario runs unpaced.
-	RepairSLOTarget sim.Time
-	// Trace enables the flight recorder for every run the experiment
-	// executes (cmd/rackbench -trace). Observer-only: the tabulated
-	// numbers are byte-identical with or without it.
-	Trace trace.Options
-	// MetricsInterval arms the time-series sampler for every run
-	// (cmd/rackbench -metrics); 0 leaves it off.
-	MetricsInterval sim.Time
-	// OnResult, when set, receives every run's full Result as it
-	// completes, keyed by the experiment id and a "series/x" label —
-	// how cmd/rackbench collects traces, timelines, and per-run
-	// counters for its JSON report.
-	OnResult func(id, series string, res *core.Result)
-}
-
-// instrument applies the observability knobs to one run's config.
-func (o Options) instrument(cfg *core.Config) {
-	cfg.Trace = o.Trace
-	cfg.MetricsInterval = o.MetricsInterval
-}
-
-// notify hands one completed run to the OnResult hook, if any.
-func (o Options) notify(id, series string, res *core.Result) {
-	if o.OnResult != nil {
-		o.OnResult(id, series, res)
+// clusterConfig is the multi-rack cluster of the cluster experiments:
+// RackBlox on Options.Racks racks of six servers with three vSSD pairs,
+// RS(4,2), and a spine of Options.CrossBWMBps (default 200 MB/s). Spread
+// RS(4,2) needs at least ceil((k+m)/m) = 3 fault domains, so Racks
+// values below 3 are raised to 3.
+func clusterConfig(scale Scale, opt Options) core.Config {
+	cfg := baseConfig(scale)
+	cfg.System = core.RackBlox
+	cfg.Racks = max(opt.Racks, 3)
+	cfg.StorageServers = 6 // compact placement needs k+m servers in one rack
+	cfg.VSSDPairs = 3
+	cfg.Redundancy = core.ErasureCode(4, 2)
+	cfg.CrossRackMBps = opt.CrossBWMBps
+	if cfg.CrossRackMBps <= 0 {
+		cfg.CrossRackMBps = 200
 	}
+	return cfg
 }
 
-// FigMR compares single-rack (compact) against multi-rack (spread)
+// figMR compares single-rack (compact) against multi-rack (spread)
 // RS(4,2) placement on the same cluster — three racks of six servers
 // under a spine link — healthy and under a whole-rack failure. Compact
 // placement confines each stripe to one rack: the rack crash erases
@@ -738,22 +750,12 @@ func (o Options) notify(id, series string, res *core.Result) {
 // stripe >= k chunks: reads complete degraded, and the repair traffic
 // that rebuilds the lost chunks is metered on the finite cross-rack
 // link (cross_repair_mb, bounded by the configured bandwidth;
-// spine_util is the link's busy fraction). Spread RS(4,2) needs at
-// least ceil((k+m)/m) = 3 fault domains, so Options.Racks values below
-// 3 are raised to 3.
-func FigMR(scale Scale, opt Options) *Table {
+// spine_util is the link's busy fraction).
+func figMR(r runner, scale Scale) []*Table {
 	t := &Table{ID: "FigMR",
 		Title: "Single-rack vs multi-rack RS(4,2) placement under rack failure",
 		Cols: []string{"p99_ms", "kiops", "degraded", "lost_reads",
 			"unrecov_stripes", "cross_repair_mb", "spine_util", "handoffs"}}
-	racks := opt.Racks
-	if racks < 3 {
-		racks = 3 // spread RS(4,2) needs ceil((k+m)/m) = 3 fault domains
-	}
-	crossBW := opt.CrossBWMBps
-	if crossBW <= 0 {
-		crossBW = 200
-	}
 	placements := []struct {
 		series string
 		mode   core.PlacementMode
@@ -766,38 +768,16 @@ func FigMR(scale Scale, opt Options) *Table {
 		failRack bool
 	}{{"healthy", false}, {"rack 0 crash", true}} {
 		for _, pl := range placements {
-			cfg := baseConfig(scale)
-			cfg.System = core.RackBlox
-			cfg.Racks = racks
-			cfg.StorageServers = 6 // compact needs k+m servers in one rack
-			cfg.VSSDPairs = 3
-			cfg.Redundancy = core.ErasureCode(4, 2)
+			cfg := clusterConfig(scale, r.opt)
 			cfg.Placement = pl.mode
-			cfg.CrossRackMBps = crossBW
 			if sc.failRack {
 				cfg.Scenario = []core.Event{core.FailRack(0, cfg.Warmup+cfg.Duration/4)}
 			}
-			opt.instrument(&cfg)
-			res, err := core.Run(cfg)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: %v", err))
-			}
-			opt.notify("figmr", pl.series+"/"+sc.name, res)
-			reads := res.Recorder.Reads()
-			t.Rows = append(t.Rows, Row{Series: pl.series, X: sc.name,
-				Values: map[string]float64{
-					"p99_ms":          ms(reads.P99()),
-					"kiops":           res.Recorder.Throughput() / 1000,
-					"degraded":        float64(res.DegradedReads),
-					"lost_reads":      float64(res.LostReads),
-					"unrecov_stripes": float64(res.UnrecoverableStripes),
-					"cross_repair_mb": float64(res.CrossRackRepairBytes) / 1e6,
-					"spine_util":      res.SpineUtilization,
-					"handoffs":        float64(res.Switch.Handoffs),
-				}})
+			res := r.run(pl.series+"/"+sc.name, cfg)
+			t.Rows = append(t.Rows, Row{Series: pl.series, X: sc.name, Values: pick(res, t.Cols)})
 		}
 	}
-	return t
+	return []*Table{t}
 }
 
 // rlTimeline fixes the recovery-lifecycle instants (absolute virtual
@@ -813,25 +793,13 @@ const (
 	rlHealedBy = 500 * sim.Millisecond
 )
 
-// rlConfig is the recovery-lifecycle cluster: three racks of six
-// servers, RS(4,2) spread placement, Optane-class devices so background
-// reconstruction completes well inside the simulated horizon, and a
-// read-leaning mix so GC idle windows admit repair promptly.
+// rlConfig is the recovery-lifecycle cluster: the cluster config with
+// spread placement, Optane-class devices so background reconstruction
+// completes well inside the simulated horizon, and a read-leaning mix
+// so GC idle windows admit repair promptly.
 func rlConfig(scale Scale, opt Options) core.Config {
-	cfg := baseConfig(scale)
-	cfg.System = core.RackBlox
-	cfg.Racks = opt.Racks
-	if cfg.Racks < 3 {
-		cfg.Racks = 3 // spread RS(4,2) needs ceil((k+m)/m) = 3 fault domains
-	}
-	cfg.StorageServers = 6
-	cfg.VSSDPairs = 3
-	cfg.Redundancy = core.ErasureCode(4, 2)
+	cfg := clusterConfig(scale, opt)
 	cfg.Placement = core.PlacementSpread
-	cfg.CrossRackMBps = opt.CrossBWMBps
-	if cfg.CrossRackMBps <= 0 {
-		cfg.CrossRackMBps = 200
-	}
 	cfg.Device = flash.ProfileOptane()
 	cfg.Workload.WriteFrac = 0.2
 	cfg.KeyspaceFrac = 0.25
@@ -843,7 +811,43 @@ func rlConfig(scale Scale, opt Options) core.Config {
 	return cfg
 }
 
-// FigRL traces the recovery lifecycle — fail, repair, re-integrate,
+// phase is one measured window of a lifecycle figure: its row label, the
+// window start (Warmup), and the scenario timeline it runs.
+type phase struct {
+	series, x string
+	measure   sim.Time
+	events    []core.Event
+}
+
+// lifecycle runs every phase on the recovery-lifecycle cluster and fills
+// cols for each. Every phase measures the same-length window, so
+// latencies compare across phases; vs_healthy is a phase's mean read
+// latency over the healthy phase's (every lifecycle figure reports
+// read_mean_ms and runs its healthy baseline first).
+func lifecycle(r runner, scale Scale, id, title string, cols []string, phases []phase) []*Table {
+	t := &Table{ID: id, Title: title, Cols: cols}
+	window := scale.duration(300 * sim.Millisecond)
+	var healthyMean float64
+	for _, ph := range phases {
+		cfg := rlConfig(scale, r.opt)
+		cfg.Warmup = ph.measure
+		cfg.Duration = window
+		cfg.Scenario = ph.events
+		v := pick(r.run(ph.series+"/"+ph.x, cfg), cols)
+		mean := v["read_mean_ms"]
+		if ph.series == "healthy" {
+			healthyMean = mean
+		}
+		v["vs_healthy"] = 0
+		if healthyMean > 0 {
+			v["vs_healthy"] = mean / healthyMean
+		}
+		t.Rows = append(t.Rows, Row{Series: ph.series, X: ph.x, Values: v})
+	}
+	return []*Table{t}
+}
+
+// figRL traces the recovery lifecycle — fail, repair, re-integrate,
 // revive — and shows the co-design closing the loop: after the
 // reconstructor rebuilds a crashed server's chunks and re-registers the
 // replacement holder in the ToR stripe tables, reads stop paying the
@@ -852,67 +856,22 @@ func rlConfig(scale Scale, opt Options) core.Config {
 // (vs_healthy ~ 1); likewise a revived ToR resumes direct service after
 // its stripe table is replayed from survivors. Foreground cross-rack
 // traffic (fg_cross_mb) is metered on the same spine as repair traffic
-// (repair_cross_mb) and reported separately. Every row measures the
-// same-length window, so latencies are comparable across phases.
-func FigRL(scale Scale, opt Options) *Table {
-	t := &Table{ID: "FigRL",
-		Title: "Recovery lifecycle: fail -> repair -> re-integrate -> revive",
-		Cols: []string{"read_mean_ms", "read_p99_ms", "vs_healthy", "degraded",
-			"degraded_post_repair", "reintegrated_stripes", "repair_pending",
-			"fg_cross_mb", "repair_cross_mb", "lost_reads", "tor_revivals"}}
-	window := scale.duration(300 * sim.Millisecond)
-	type phase struct {
-		series, x string
-		measure   sim.Time // measured window start (Warmup)
-		events    []core.Event
-	}
+// (repair_cross_mb) and reported separately.
+func figRL(r runner, scale Scale) []*Table {
 	crash := []core.Event{core.FailServer(0, rlFailAt)}
 	darken := []core.Event{core.FailToR(1, rlFailAt)}
 	revive := []core.Event{core.FailToR(1, rlFailAt), core.ReviveToR(1, rlReviveAt)}
-	phases := []phase{
-		{"healthy", "baseline", rlHealedBy, nil},
-		{"server crash", "degraded", rlFailAt, crash},
-		{"server crash", "post-repair", rlHealedBy, crash},
-		{"tor outage", "dark", rlFailAt, darken},
-		{"tor outage+revive", "post-revival", rlHealedBy, revive},
-	}
-	var healthyMean float64
-	for _, ph := range phases {
-		cfg := rlConfig(scale, opt)
-		cfg.Warmup = ph.measure
-		cfg.Duration = window
-		cfg.Scenario = ph.events
-		opt.instrument(&cfg)
-		res, err := core.Run(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		opt.notify("figrl", ph.series+"/"+ph.x, res)
-		reads := res.Recorder.Reads()
-		mean := reads.Mean() / 1e6
-		if ph.series == "healthy" {
-			healthyMean = mean
-		}
-		ratio := 0.0
-		if healthyMean > 0 {
-			ratio = mean / healthyMean
-		}
-		t.Rows = append(t.Rows, Row{Series: ph.series, X: ph.x,
-			Values: map[string]float64{
-				"read_mean_ms":         mean,
-				"read_p99_ms":          ms(reads.P99()),
-				"vs_healthy":           ratio,
-				"degraded":             float64(res.DegradedReads),
-				"degraded_post_repair": float64(res.DegradedReadsPostRepair),
-				"reintegrated_stripes": float64(res.ReintegratedStripes),
-				"repair_pending":       float64(res.RepairPending),
-				"fg_cross_mb":          float64(res.ForegroundCrossRackBytes) / 1e6,
-				"repair_cross_mb":      float64(res.CrossRackRepairBytes) / 1e6,
-				"lost_reads":           float64(res.LostReads),
-				"tor_revivals":         float64(res.ToRRevivals),
-			}})
-	}
-	return t
+	return lifecycle(r, scale, "FigRL", "Recovery lifecycle: fail -> repair -> re-integrate -> revive",
+		[]string{"read_mean_ms", "read_p99_ms", "vs_healthy", "degraded",
+			"degraded_post_repair", "reintegrated_stripes", "repair_pending",
+			"fg_cross_mb", "repair_cross_mb", "lost_reads", "tor_revivals"},
+		[]phase{
+			{"healthy", "baseline", rlHealedBy, nil},
+			{"server crash", "degraded", rlFailAt, crash},
+			{"server crash", "post-repair", rlHealedBy, crash},
+			{"tor outage", "dark", rlFailAt, darken},
+			{"tor outage+revive", "post-revival", rlHealedBy, revive},
+		})
 }
 
 // scTimeline fixes the scenario-cycle instants (absolute virtual times,
@@ -932,75 +891,31 @@ const (
 	scHealed2By = 1050 * sim.Millisecond
 )
 
-// FigSC sweeps a scenario timeline the flat failure fields could never
+// figSC sweeps a scenario timeline the flat failure fields could never
 // express: fail -> revive-server -> catch-up -> fail-again. A storage
 // server crashes, returns blank mid-run (core.ReviveServer), catches up
 // via the metered reconstructor, and is re-registered under its own id
 // (switchsim.RestoreStripeMember) — degraded_post_repair is 0 and read
 // latency returns to the healthy baseline (vs_healthy ~ 1). The same
 // server then crashes again, and the second loss heals through adopter
-// re-integration, showing repeated fail/heal cycles compose. Every row
-// measures the same-length window, so latencies are comparable.
-func FigSC(scale Scale, opt Options) *Table {
-	t := &Table{ID: "FigSC",
-		Title: "Scenario timeline: fail -> revive -> catch-up -> fail-again",
-		Cols: []string{"read_mean_ms", "read_p99_ms", "vs_healthy", "degraded",
-			"degraded_post_repair", "reintegrated_stripes", "restored_holders",
-			"server_revivals", "repair_pending", "lost_reads"}}
-	window := scale.duration(300 * sim.Millisecond)
+// re-integration, showing repeated fail/heal cycles compose.
+func figSC(r runner, scale Scale) []*Table {
 	cycle := []core.Event{
 		core.FailServer(0, scFailAt),
 		core.ReviveServer(0, scReviveAt),
 	}
 	again := append(append([]core.Event(nil), cycle...), core.FailServer(0, scFail2At))
-	type phase struct {
-		series, x string
-		measure   sim.Time // measured window start (Warmup)
-		events    []core.Event
-	}
-	phases := []phase{
-		{"healthy", "baseline", scHealedBy, nil},
-		{"fail+revive", "degraded", scFailAt, cycle},
-		{"fail+revive", "post-catch-up", scHealedBy, cycle},
-		{"fail-again", "degraded-again", scFail2At, again},
-		{"fail-again", "post-heal", scHealed2By, again},
-	}
-	var healthyMean float64
-	for _, ph := range phases {
-		cfg := rlConfig(scale, opt)
-		cfg.Warmup = ph.measure
-		cfg.Duration = window
-		cfg.Scenario = ph.events
-		opt.instrument(&cfg)
-		res, err := core.Run(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		opt.notify("figsc", ph.series+"/"+ph.x, res)
-		reads := res.Recorder.Reads()
-		mean := reads.Mean() / 1e6
-		if ph.series == "healthy" {
-			healthyMean = mean
-		}
-		ratio := 0.0
-		if healthyMean > 0 {
-			ratio = mean / healthyMean
-		}
-		t.Rows = append(t.Rows, Row{Series: ph.series, X: ph.x,
-			Values: map[string]float64{
-				"read_mean_ms":         mean,
-				"read_p99_ms":          ms(reads.P99()),
-				"vs_healthy":           ratio,
-				"degraded":             float64(res.DegradedReads),
-				"degraded_post_repair": float64(res.DegradedReadsPostRepair),
-				"reintegrated_stripes": float64(res.ReintegratedStripes),
-				"restored_holders":     float64(res.RestoredHolders),
-				"server_revivals":      float64(res.ServerRevivals),
-				"repair_pending":       float64(res.RepairPending),
-				"lost_reads":           float64(res.LostReads),
-			}})
-	}
-	return t
+	return lifecycle(r, scale, "FigSC", "Scenario timeline: fail -> revive -> catch-up -> fail-again",
+		[]string{"read_mean_ms", "read_p99_ms", "vs_healthy", "degraded",
+			"degraded_post_repair", "reintegrated_stripes", "restored_holders",
+			"server_revivals", "repair_pending", "lost_reads"},
+		[]phase{
+			{"healthy", "baseline", scHealedBy, nil},
+			{"fail+revive", "degraded", scFailAt, cycle},
+			{"fail+revive", "post-catch-up", scHealedBy, cycle},
+			{"fail-again", "degraded-again", scFail2At, again},
+			{"fail-again", "post-heal", scHealed2By, again},
+		})
 }
 
 // ScenarioSummary runs the recovery-lifecycle cluster under one
@@ -1020,13 +935,10 @@ func ScenarioSummary(events []core.Event, scale Scale, opt Options) (*Table, err
 	if opt.RepairSLOTarget > 0 {
 		cfg.RepairSLO = core.RepairSLO{TargetP99: opt.RepairSLOTarget}
 	}
-	opt.instrument(&cfg)
-	res, err := core.Run(cfg)
+	res, err := runner{"scenario", opt}.try("run", cfg)
 	if err != nil {
 		return nil, err
 	}
-	opt.notify("scenario", "run", res)
-	reads := res.Recorder.Reads()
 	t := &Table{
 		ID:    "Scenario",
 		Title: fmt.Sprintf("Scenario timeline with %d events", len(events)),
@@ -1038,28 +950,14 @@ func ScenarioSummary(events []core.Event, scale Scale, opt Options) (*Table, err
 	for _, ev := range events {
 		t.Rows = append(t.Rows, Row{Series: "event", X: ev.String(), Values: map[string]float64{}})
 	}
-	t.Rows = append(t.Rows, Row{Series: "run", X: "whole timeline",
-		Values: map[string]float64{
-			"read_mean_ms":         reads.Mean() / 1e6,
-			"read_p99_ms":          ms(reads.P99()),
-			"degraded":             float64(res.DegradedReads),
-			"degraded_post_repair": float64(res.DegradedReadsPostRepair),
-			"reintegrated_stripes": float64(res.ReintegratedStripes),
-			"restored_holders":     float64(res.RestoredHolders),
-			"server_revivals":      float64(res.ServerRevivals),
-			"tor_revivals":         float64(res.ToRRevivals),
-			"repair_pending":       float64(res.RepairPending),
-			"lost_reads":           float64(res.LostReads),
-			"slo_viol_frac":        res.SLOViolationFraction,
-			"repair_done_ms":       ms(res.RepairCompletionTime),
-		}})
+	t.Rows = append(t.Rows, Row{Series: "run", X: "whole timeline", Values: pick(res, t.Cols)})
 	return t, nil
 }
 
 // RedundancySummary runs one YCSB 50/50 benchmark with the chosen
 // redundancy backend on a six-server rack and tabulates the headline
 // metrics (cmd/rackbench's -redundancy flag).
-func RedundancySummary(spec core.RedundancySpec, scale Scale) (*Table, error) {
+func RedundancySummary(spec core.RedundancySpec, scale Scale, opt Options) (*Table, error) {
 	cfg := baseConfig(scale)
 	cfg.StorageServers = 6
 	cfg.Redundancy = spec
@@ -1069,7 +967,7 @@ func RedundancySummary(spec core.RedundancySpec, scale Scale) (*Table, error) {
 		cfg.Racks = 3
 		cfg.Placement = core.PlacementSpread
 	}
-	res, err := core.Run(cfg)
+	res, err := runner{"redundancy", opt}.try(spec.String(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -1095,38 +993,43 @@ func RedundancySummary(spec core.RedundancySpec, scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// experiment is one registry entry: an id and the function that runs it.
+// experiment is one registry entry: an id and the tables it declares
+// over its run shell.
 type experiment struct {
-	id  string
-	run func(Scale, Options) []*Table
+	id     string
+	tables func(runner, Scale) []*Table
 }
 
 // registry lists every experiment in the order All reports them.
 var registry = []experiment{
-	{"table2", func(Scale, Options) []*Table { return []*Table{Table2()} }},
-	{"fig9", func(s Scale, _ Options) []*Table { return []*Table{Fig9a(s), Fig9b(s)} }},
-	{"fig10", func(s Scale, _ Options) []*Table { return []*Table{Fig10a(s), Fig10b(s)} }},
-	{"fig11", func(s Scale, _ Options) []*Table { return []*Table{Fig11a(s), Fig11b(s)} }},
-	{"fig12", func(s Scale, _ Options) []*Table { return []*Table{Fig12(s)} }},
-	{"fig13", func(s Scale, _ Options) []*Table { return []*Table{Fig13a(s), Fig13b(s)} }},
-	{"fig14", func(s Scale, _ Options) []*Table { return []*Table{Fig14(s)} }},
-	{"fig15", func(s Scale, _ Options) []*Table { return []*Table{Fig15a(s), Fig15b(s)} }},
-	{"fig16", func(s Scale, _ Options) []*Table { return []*Table{Fig16(s)} }},
-	{"fig17", func(s Scale, _ Options) []*Table { return []*Table{Fig17(s)} }},
-	{"fig18", func(s Scale, _ Options) []*Table { return []*Table{Fig18(s)} }},
-	{"fig19", func(s Scale, _ Options) []*Table { return []*Table{Fig19(s)} }},
-	{"fig20", func(s Scale, _ Options) []*Table { return []*Table{Fig20(s)} }},
-	{"fig21", func(s Scale, _ Options) []*Table { return []*Table{Fig21(s)} }},
-	{"fig22", func(Scale, Options) []*Table { return []*Table{Fig22()} }},
-	{"fig23", func(Scale, Options) []*Table { return []*Table{Fig23()} }},
-	{"predictor", func(Scale, Options) []*Table { return []*Table{PredictorAccuracy()} }},
-	{"gcablation", func(s Scale, _ Options) []*Table { return []*Table{GCAblation(s)} }},
-	{"figec", func(s Scale, o Options) []*Table { return []*Table{FigECWith(s, o)} }},
-	{"figmr", func(s Scale, o Options) []*Table { return []*Table{FigMR(s, o)} }},
-	{"figrl", func(s Scale, o Options) []*Table { return []*Table{FigRL(s, o)} }},
-	{"figsc", func(s Scale, o Options) []*Table { return []*Table{FigSC(s, o)} }},
-	{"figslo", func(s Scale, o Options) []*Table { return []*Table{FigSLO(s, o)} }},
-	{"figra", func(s Scale, o Options) []*Table { return []*Table{FigRA(s, o)} }},
+	{"table2", table2},
+	{"fig9", latencyPair("Fig9", "P99.9", "YCSB mixes", readMixes, writeMixes,
+		func(d stats.Dist) float64 { return ms(d.P999()) })},
+	{"fig10", latencyPair("Fig10", "P99", "YCSB mixes", readMixes, writeMixes,
+		func(d stats.Dist) float64 { return ms(d.P99()) })},
+	{"fig11", latencyPair("Fig11", "Average", "YCSB mixes", readMixes, writeMixes,
+		func(d stats.Dist) float64 { return d.Mean() / 1e6 })},
+	{"fig12", throughput("Fig12", "YCSB mixes", mixes)},
+	{"fig13", latencyPair("Fig13", "P99.9", "BenchBase workloads", benchBase, benchBase,
+		func(d stats.Dist) float64 { return ms(d.P999()) })},
+	{"fig14", throughput("Fig14", "BenchBase workloads", benchBase)},
+	{"fig15", fig15},
+	{"fig16", fig16},
+	{"fig17", fig17},
+	{"fig18", fig18},
+	{"fig19", fig19},
+	{"fig20", fig20},
+	{"fig21", fig21},
+	{"fig22", fig22},
+	{"fig23", fig23},
+	{"predictor", predictorAccuracy},
+	{"gcablation", gcAblation},
+	{"figec", figEC},
+	{"figmr", figMR},
+	{"figrl", figRL},
+	{"figsc", figSC},
+	{"figslo", figSLO},
+	{"figra", figRA},
 }
 
 // All returns every experiment id in order.
@@ -1138,16 +1041,11 @@ func All() []string {
 	return ids
 }
 
-// ByID runs an experiment by its id with default options.
-func ByID(id string, scale Scale) ([]*Table, error) {
-	return ByIDWith(id, scale, Options{})
-}
-
-// ByIDWith runs an experiment by its id, returning its tables.
-func ByIDWith(id string, scale Scale, opt Options) ([]*Table, error) {
+// ByID runs an experiment by its id, returning its tables.
+func ByID(id string, scale Scale, opt Options) ([]*Table, error) {
 	for _, e := range registry {
 		if e.id == id {
-			return e.run(scale, opt), nil
+			return e.tables(runner{id, opt}, scale), nil
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q", id)

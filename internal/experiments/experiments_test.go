@@ -8,6 +8,16 @@ import (
 // tiny runs experiments at the smallest scale for test speed.
 const tiny = Scale(0.1)
 
+// runTables runs one registry entry with default options.
+func runTables(t *testing.T, id string, scale Scale) []*Table {
+	t.Helper()
+	tables, err := ByID(id, scale, Options{})
+	if err != nil {
+		t.Fatalf("ByID(%q): %v", id, err)
+	}
+	return tables
+}
+
 func findRow(t *Table, series, x string) (Row, bool) {
 	for _, r := range t.Rows {
 		if r.Series == series && (x == "" || r.X == x) {
@@ -18,7 +28,7 @@ func findRow(t *Table, series, x string) (Row, bool) {
 }
 
 func TestTable2MatchesPaper(t *testing.T) {
-	tb := Table2()
+	tb := runTables(t, "table2", tiny)[0]
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(tb.Rows))
 	}
@@ -33,7 +43,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestFig9ShapeRackBloxWins(t *testing.T) {
-	tb := Fig9a(tiny)
+	tb := runTables(t, "fig9", tiny)[0]
 	// At the write-heavy 20/80 mix RackBlox must beat VDC on P99.9 reads.
 	vdc, ok1 := findRow(tb, "VDC", "20/80")
 	rb, ok2 := findRow(tb, "RackBlox", "20/80")
@@ -50,7 +60,7 @@ func TestFig9ShapeRackBloxWins(t *testing.T) {
 }
 
 func TestFig12ThroughputPopulated(t *testing.T) {
-	tb := Fig12(tiny)
+	tb := runTables(t, "fig12", tiny)[0]
 	if len(tb.Rows) != len(mixes)*4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -62,7 +72,7 @@ func TestFig12ThroughputPopulated(t *testing.T) {
 }
 
 func TestFig15StorageLEQTotal(t *testing.T) {
-	tb := Fig15a(tiny)
+	tb := runTables(t, "fig15", tiny)[0]
 	for _, r := range tb.Rows {
 		if r.Values["storage"] > r.Values["total"]+0.001 {
 			t.Fatalf("storage %.3f > total %.3f in %s/%s",
@@ -72,7 +82,7 @@ func TestFig15StorageLEQTotal(t *testing.T) {
 }
 
 func TestFig16CDFMonotone(t *testing.T) {
-	tb := Fig16(tiny)
+	tb := runTables(t, "fig16", tiny)[0]
 	for _, r := range tb.Rows {
 		if !(r.Values["p98.5"] <= r.Values["p99"] &&
 			r.Values["p99"] <= r.Values["p99.5"] &&
@@ -83,7 +93,7 @@ func TestFig16CDFMonotone(t *testing.T) {
 }
 
 func TestFig17CoordinationHelpsEachScheduler(t *testing.T) {
-	tb := Fig17(tiny)
+	tb := runTables(t, "fig17", tiny)[0]
 	// Every coordinated variant should be no worse than ~1.5x its base
 	// (runs are short; exact speedups need full scale).
 	for _, base := range []string{"FIFO", "Deadline", "Kyber"} {
@@ -98,7 +108,7 @@ func TestFig17CoordinationHelpsEachScheduler(t *testing.T) {
 }
 
 func TestFig22SwappingBalances(t *testing.T) {
-	tb := Fig22()
+	tb := runTables(t, "fig22", tiny)[0]
 	noswap, _ := findRow(tb, "No Swap", "after 2 year(s)")
 	swap, _ := findRow(tb, "RackBlox", "after 2 year(s)")
 	if swap.Values["imbalance_max"] >= noswap.Values["imbalance_max"] {
@@ -111,7 +121,7 @@ func TestFig22SwappingBalances(t *testing.T) {
 }
 
 func TestFig23PeriodsOrdered(t *testing.T) {
-	tb := Fig23()
+	tb := runTables(t, "fig23", tiny)[0]
 	noswap, _ := findRow(tb, "No Swap", "")
 	fast, _ := findRow(tb, "RB-Swap per 4 Weeks", "")
 	if fast.Values["week80"] >= noswap.Values["week80"] {
@@ -121,7 +131,7 @@ func TestFig23PeriodsOrdered(t *testing.T) {
 }
 
 func TestPredictorAccuracyTable(t *testing.T) {
-	tb := PredictorAccuracy()
+	tb := runTables(t, "predictor", tiny)[0]
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -143,19 +153,19 @@ func TestByIDAll(t *testing.T) {
 		seen[e.id] = true
 		switch e.id {
 		case "table2", "fig22", "fig23", "predictor":
-			tables, err := ByID(e.id, tiny)
+			tables, err := ByID(e.id, tiny, Options{})
 			if err != nil || len(tables) == 0 {
 				t.Errorf("ByID(%q) = %v", e.id, err)
 			}
 		}
 	}
-	if _, err := ByID("nope", tiny); err == nil {
+	if _, err := ByID("nope", tiny, Options{}); err == nil {
 		t.Error("unknown id accepted")
 	}
 }
 
 func TestTableFormat(t *testing.T) {
-	tb := Table2()
+	tb := runTables(t, "table2", tiny)[0]
 	s := tb.Format()
 	if !strings.Contains(s, "Table2") || !strings.Contains(s, "Twitter") {
 		t.Fatalf("format output missing content:\n%s", s)
@@ -176,7 +186,7 @@ func TestScaleDuration(t *testing.T) {
 }
 
 func TestGCAblation(t *testing.T) {
-	tb := GCAblation(Scale(0.4))
+	tb := runTables(t, "gcablation", 0.4)[0]
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -191,7 +201,7 @@ func TestGCAblation(t *testing.T) {
 }
 
 func TestFigECComparesBackends(t *testing.T) {
-	tb := FigEC(tiny)
+	tb := runTables(t, "figec", tiny)[0]
 	if len(tb.Rows) != 6 { // 3 scenarios x 2 redundancy schemes
 		t.Fatalf("rows = %d, want 6", len(tb.Rows))
 	}
@@ -213,8 +223,5 @@ func TestFigECComparesBackends(t *testing.T) {
 	}
 	if r.Values["lost_reads"] != 0 {
 		t.Errorf("EC crash scenario lost %v reads", r.Values["lost_reads"])
-	}
-	if _, err := ByID("figec", tiny); err != nil {
-		t.Fatalf("ByID(figec): %v", err)
 	}
 }

@@ -11,7 +11,7 @@ import "testing"
 // repeated fail/heal capability the flat config fields could not
 // express.
 func TestFigSCCycleHealsTwice(t *testing.T) {
-	tb := FigSC(1.0, Options{})
+	tb := runTables(t, "figsc", 1.0)[0]
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(tb.Rows))
 	}
@@ -70,8 +70,5 @@ func TestFigSCCycleHealsTwice(t *testing.T) {
 	post, _ := findRow(tb, "fail-again", "post-heal")
 	if post.Values["reintegrated_stripes"] <= 0 {
 		t.Error("second heal re-integrated no stripes")
-	}
-	if _, err := ByID("figsc", tiny); err != nil {
-		t.Fatalf("ByID(figsc): %v", err)
 	}
 }

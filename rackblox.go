@@ -526,7 +526,7 @@ type ExperimentTable = experiments.Table
 // (e.g. "fig9", "table2"). scale in (0,1] shrinks the measured window;
 // use 1.0 to reproduce at full length.
 func Experiment(id string, scale float64) ([]*ExperimentTable, error) {
-	return experiments.ByID(id, experiments.Scale(scale))
+	return experiments.ByID(id, experiments.Scale(scale), experiments.Options{})
 }
 
 // WearConfig parameterizes the rack-scale wear-leveling simulation.
