@@ -56,6 +56,10 @@ var simPackages = map[string]bool{
 	"rackblox/internal/ec":          true,
 	"rackblox/internal/switchsim":   true,
 	"rackblox/internal/experiments": true,
+	"rackblox/internal/replication": true,
+	"rackblox/internal/ssd":         true,
+	"rackblox/internal/vssd":        true,
+	"rackblox/internal/sched":       true,
 }
 
 func applies(pkgPath string) bool { return simPackages[pkgPath] }

@@ -12,11 +12,13 @@ import (
 // local helpers, the //rackvet:commutative escape hatch (including the
 // bare-directive finding), slice-range and commutative-body
 // non-findings, global math/rand, the _test.go allowlist, and the
-// package-scope perimeter.
+// package-scope perimeter, including a package added to it later
+// (replication).
 func TestSimdeterminism(t *testing.T) {
 	analysistest.Run(t, simdeterminism.Analyzer,
 		"rackblox/internal/core",
 		"rackblox/internal/netsim",
+		"rackblox/internal/replication",
 		"rackblox/internal/sim",
 	)
 }

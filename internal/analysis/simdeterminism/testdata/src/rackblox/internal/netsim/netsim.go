@@ -1,6 +1,7 @@
 // Package netsim is outside the simdeterminism perimeter (the analyzer
-// scopes to sim/core/ec/switchsim/experiments): identical code here is
-// not a finding. No want comments.
+// scopes to sim/core/ec/switchsim/experiments and the packages that run
+// inside event handlers: replication/ssd/vssd/sched): identical code
+// here is not a finding. No want comments.
 package netsim
 
 import "rackblox/internal/sim"

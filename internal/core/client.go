@@ -116,7 +116,7 @@ func (r *Rack) send(pr *pair, op workload.Op) {
 // whose failover table rewrites the isolated primary's traffic.
 func (r *Rack) clientTorForPair(pr *pair) *switchsim.Switch {
 	tor := r.torOf(pr.primary.server)
-	if r.cluster.torDetected[pr.primary.server.rackIdx] {
+	if r.torDetected[pr.primary.server.rackIdx] {
 		if rep := r.torOf(pr.replica.server); !rep.Down() {
 			return rep
 		}
@@ -148,9 +148,9 @@ func (r *Rack) spanFor(seq uint64) *trace.Span {
 // spine crossing — metered as foreground traffic on the shared link —
 // when the ToR is not in the client's rack (rack 0).
 func (r *Rack) clientSend(pkt packet.Packet, tor *switchsim.Switch) {
-	hop := r.net.HopLatency(r.eng.Now()) + r.cluster.spine.Latency(0, tor.RackID())
+	hop := r.net.HopLatency(r.eng.Now()) + r.spine.Latency(0, tor.RackID())
 	if tor.RackID() != 0 {
-		hop += r.cluster.spine.MeterForegroundTraced(r.cluster.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
+		hop += r.spine.MeterForegroundTraced(r.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
 	}
 	pkt.AddLatency(hop)
 	r.sendHop(hop, r.lbl.clientSend, hopEvent{to: atToR, tor: tor, pkt: pkt})
@@ -167,7 +167,7 @@ func (r *Rack) forwarderFor(torRack int) switchsim.Forwarder {
 func (r *Rack) deliverFromTor(torRack int, pkt packet.Packet) {
 	// Resolve the destination up front: the spine latency depends on it.
 	var dstSrv *server
-	dstRack := 0 // the client and the controller home next to rack 0
+	dstRack := 0 // the client homes next to rack 0
 	for _, s := range r.servers {
 		if s.ip == pkt.DstIP {
 			dstSrv = s
@@ -175,39 +175,49 @@ func (r *Rack) deliverFromTor(torRack int, pkt packet.Packet) {
 			break
 		}
 	}
-	hop := r.net.HopLatency(r.eng.Now()) + r.cluster.spine.Latency(torRack, dstRack)
+	hop := r.net.HopLatency(r.eng.Now()) + r.spine.Latency(torRack, dstRack)
 	if torRack != dstRack {
 		// Leaving the rack: the packet pays for (and occupies) the
 		// shared spine alongside repair transfers.
-		hop += r.cluster.spine.MeterForegroundTraced(r.cluster.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
+		hop += r.spine.MeterForegroundTraced(r.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
 	}
 	pkt.AddLatency(hop)
 	r.sendHop(hop, r.lbl.deliver, hopEvent{to: fromToR, srv: dstSrv, torRack: torRack, dstRack: dstRack, pkt: pkt})
 }
 
+// handoff carries a stripe read from one ToR to another over the spine,
+// metered as foreground traffic. A failed destination ToR drops it
+// there, like any packet it processes.
+func (r *Rack) handoff(pkt packet.Packet, rack int) {
+	sp := r.spanFor(pkt.Seq)
+	if sp != nil {
+		h := sp.Child("handoff", r.eng.Now())
+		h.EndAt(r.eng.Now() + r.spine.Propagation())
+		h.Annotate(trace.Int("to_rack", int64(rack)))
+	}
+	delay := r.spine.Propagation() + r.spine.MeterForegroundTraced(r.spine.FrameBytes(pkt), sp)
+	pkt.AddLatency(delay)
+	r.sendHop(delay, r.lbl.handoff, hopEvent{to: atToR, tor: r.tors[rack], pkt: pkt})
+}
+
 // arrive lands a packet that left the ToR of rack torRack at its
-// destination: the client, server dstSrv in rack dstRack, or the
-// controller.
+// destination: the client, or server dstSrv in rack dstRack.
 func (r *Rack) arrive(torRack, dstRack int, dstSrv *server, pkt packet.Packet) {
 	if pkt.DstIP == r.clientIP {
 		r.clientReceive(pkt)
 		return
 	}
 	if dstSrv != nil {
-		if dstRack != torRack && r.cluster.torFailed[dstRack] {
+		if dstRack != torRack && r.torFailed[dstRack] {
 			return // cross-rack delivery dead-ends at the failed ToR
 		}
 		// RackBlox (Software) redirection happens here, at the server
 		// boundary rather than in the switch.
 		if pkt.Op == packet.OpRead && r.cfg.System == RackBloxSoftware && r.softwareRedirect(dstSrv, pkt) {
-			r.swRedirects++
+			r.res.SWRedirects++
 			return
 		}
 		dstSrv.receive(pkt)
-		return
-	}
-	if r.controller != nil && pkt.DstIP == r.controller.ip {
-		r.controller.receive(pkt)
 	}
 }
 
@@ -232,7 +242,7 @@ func (r *Rack) softwareRedirect(s *server, pkt packet.Packet) bool {
 	// cost, plus the forwarding server's processing.
 	delay := serverProcTime + r.net.PathLatency(r.eng.Now(), 2)
 	fwd.AddLatency(delay)
-	r.sendHop(delay, r.eng.Intern("client.sw_redirect"), hopEvent{to: atNIC, srv: rep.server, pkt: fwd})
+	r.sendHop(delay, r.lbl.swRedirect, hopEvent{to: atNIC, srv: rep.server, pkt: fwd})
 	return true
 }
 
@@ -257,17 +267,17 @@ func (r *Rack) bounceRead(inst *instance, st *reqState) {
 			fwd.VSSD = rep.id
 			fwd.DstIP = rep.server.ip
 			delay := serverProcTime + r.net.PathLatency(r.eng.Now(), 2)
-			r.sendHop(delay, r.eng.Intern("client.sw_redirect"), hopEvent{to: atNIC, srv: rep.server, pkt: fwd})
-			r.swRedirects++
+			r.sendHop(delay, r.lbl.swRedirect, hopEvent{to: atNIC, srv: rep.server, pkt: fwd})
+			r.res.SWRedirects++
 			return
 		}
 		// No usable replica: serve in place after all.
-		r.sendHop(serverProcTime, r.eng.Intern("client.bounce"), hopEvent{to: atNIC, srv: inst.server, pkt: pkt})
+		r.sendHop(serverProcTime, r.lbl.bounce, hopEvent{to: atNIC, srv: inst.server, pkt: pkt})
 		return
 	}
 	hop := r.net.HopLatency(r.eng.Now())
 	pkt.AddLatency(hop)
-	r.sendHop(hop, r.eng.Intern("client.bounce"), hopEvent{to: atToR, tor: r.torOf(inst.server), pkt: pkt})
+	r.sendHop(hop, r.lbl.bounce, hopEvent{to: atToR, tor: r.torOf(inst.server), pkt: pkt})
 }
 
 // respond sends the completion back to the client through the switch.
@@ -327,7 +337,7 @@ func (r *Rack) clientReceive(pkt packet.Packet) {
 	if st.dispatched == 0 || queue < 0 { // cache path or bounced read
 		queue, device = 0, st.deviceDone-st.arrival
 	}
-	r.rec.Add(stats.Sample{
+	r.res.Recorder.Add(stats.Sample{
 		Total:      now - st.issue,
 		NetIn:      st.netIn,
 		Queue:      queue,

@@ -122,7 +122,7 @@ func TestToRFailureServedByHandoff(t *testing.T) {
 }
 
 func TestSingleRackConfigUnchangedByClusterLayer(t *testing.T) {
-	// The cluster layer with one rack must behave as the original rack:
+	// A one-rack topology must behave as the original rack:
 	// no spine, no handoffs, identical topology invariants.
 	cfg := DefaultConfig()
 	cfg.Duration = 150 * sim.Millisecond

@@ -167,9 +167,6 @@ type Config struct {
 	// by all cross-rack repair traffic (degraded-read chunk fetches and
 	// background reconstruction). Required when Racks > 1.
 	CrossRackMBps float64
-	// CrossRackLatency is the added one-way latency of a spine crossing
-	// (ToR -> aggregation -> ToR), on top of the per-hop edge latency.
-	CrossRackLatency sim.Time
 	// RepairSLO enables the latency-SLO-aware repair rate controller on
 	// the spine: a RepairPacer observes foreground read latency over a
 	// sliding window and AIMD-adjusts the repair admission rate between
@@ -187,14 +184,9 @@ type Config struct {
 	// Redundancy selects Hermes replication (default) or RS(k,m) erasure
 	// coding for every volume.
 	Redundancy RedundancySpec
-	// ChannelsPerVSSD sets each hardware-isolated vSSD's channel count.
-	ChannelsPerVSSD int
 	// SoftwareIsolated switches to the Fig. 21 setup: two
 	// software-isolated vSSDs share each channel set as a channel group.
 	SoftwareIsolated bool
-	// SWIsolationIOPS is the per-vSSD token-bucket limit when
-	// SoftwareIsolated (0 = generous default).
-	SWIsolationIOPS float64
 
 	Geometry flash.Geometry
 	Device   flash.Profile
@@ -214,34 +206,13 @@ type Config struct {
 	// GC episode restores before stopping; small values keep episodes at a
 	// few bursts instead of long channel-blocking trains.
 	RestoreDelta float64
-	// GCCheckInterval is the periodic monitor period (the paper defaults
-	// to 30s on real hardware; simulations compress it).
-	GCCheckInterval sim.Time
-	// IdleGCThreshold gates background GC (30ms default).
-	IdleGCThreshold sim.Time
-	// GCRetries bounds gc_op retransmissions on reply loss.
-	GCRetries int
 	// GCReplyDropRate injects switch-reply loss for failure testing.
 	GCReplyDropRate float64
-	// MaxGCBlocksPerBurst caps one uncoordinated (regular/forced) GC
-	// event's reclaimed blocks, bounding the channel-blocked window to a
-	// few milliseconds per event.
-	MaxGCBlocksPerBurst int
-	// SoftBurstBlocks caps one redirection-protected soft episode; larger
-	// than MaxGCBlocksPerBurst because the replica absorbs reads
-	// meanwhile, but bounded so the partner's delay budget holds.
-	SoftBurstBlocks int
 	// MaxClientInflight bounds each pair's outstanding requests
 	// (semi-open loop: arrivals are Poisson but the window caps
 	// divergence under saturation, like a finite client thread pool).
 	MaxClientInflight int
 
-	// WriteCachePages sizes each server's DRAM write cache.
-	WriteCachePages int
-	// CacheHoldPages is the write-back watermark: dirty pages are flushed
-	// only above this level, so the hottest keys keep absorbing rewrites
-	// in DRAM. It controls how much of the write stream reaches flash.
-	CacheHoldPages int
 	// Utilization is the FTL logical/raw ratio.
 	Utilization float64
 	// KeyspaceFrac is the fraction of logical pages the workload touches
@@ -266,10 +237,9 @@ type Config struct {
 
 	// Scenario is the run's fault/recovery timeline: an ordered schedule
 	// of typed events (FailServer, FailRack, FailToR, ReviveServer,
-	// ReviveToR), each at its own instant, validated as a whole and
-	// executed by the cluster's event driver, so one run can express
-	// staggered outages, server revival with catch-up repair, and
-	// repeated fail/heal cycles.
+	// ReviveToR), each at its own instant and validated as a whole, so
+	// one run can express staggered outages, server revival with
+	// catch-up repair, and repeated fail/heal cycles.
 	//
 	//	cfg.Scenario = []core.Event{
 	//		core.FailServer(0, 120*sim.Millisecond),
@@ -284,15 +254,13 @@ type Config struct {
 // Kyber scheduling, 35%/25% GC thresholds, YCSB 50/50 at moderate load.
 func DefaultConfig() Config {
 	return Config{
-		System:           RackBlox,
-		Seed:             1,
-		StorageServers:   4,
-		Racks:            1,
-		CrossRackMBps:    200,
-		CrossRackLatency: 50 * sim.Microsecond,
-		VSSDPairs:        4,
-		Redundancy:       Replication(),
-		ChannelsPerVSSD:  2,
+		System:         RackBlox,
+		Seed:           1,
+		StorageServers: 4,
+		Racks:          1,
+		CrossRackMBps:  200,
+		VSSDPairs:      4,
+		Redundancy:     Replication(),
 		Geometry: flash.Geometry{
 			Channels:        8,
 			ChipsPerChannel: 4,
@@ -300,25 +268,18 @@ func DefaultConfig() Config {
 			PagesPerBlock:   32,
 			PageSize:        4096,
 		},
-		Device:              flash.ProfilePSSD(),
-		Net:                 netsim.ProfileMedium(),
-		SchedPolicy:         sched.Kyber,
-		SoftThreshold:       0.35,
-		GCThreshold:         0.25,
-		RestoreDelta:        0.04,
-		GCCheckInterval:     2 * sim.Millisecond,
-		IdleGCThreshold:     30 * sim.Millisecond,
-		GCRetries:           3,
-		MaxGCBlocksPerBurst: 1,
-		SoftBurstBlocks:     1,
-		MaxClientInflight:   32,
-		WriteCachePages:     2048,
-		CacheHoldPages:      128,
-		Utilization:         0.75,
-		KeyspaceFrac:        0.55,
-		Workload:            WorkloadSpec{Name: "YCSB", WriteFrac: 0.5, MeanGap: 200 * sim.Microsecond},
-		Warmup:              100 * sim.Millisecond,
-		Duration:            1000 * sim.Millisecond,
+		Device:            flash.ProfilePSSD(),
+		Net:               netsim.ProfileMedium(),
+		SchedPolicy:       sched.Kyber,
+		SoftThreshold:     0.35,
+		GCThreshold:       0.25,
+		RestoreDelta:      0.04,
+		MaxClientInflight: 32,
+		Utilization:       0.75,
+		KeyspaceFrac:      0.55,
+		Workload:          WorkloadSpec{Name: "YCSB", WriteFrac: 0.5, MeanGap: 200 * sim.Microsecond},
+		Warmup:            100 * sim.Millisecond,
+		Duration:          1000 * sim.Millisecond,
 	}
 }
 
@@ -391,13 +352,8 @@ func (c *Config) Validate() error {
 	if err := c.Geometry.Validate(); err != nil {
 		return err
 	}
-	if c.racks() > 1 {
-		if c.CrossRackMBps <= 0 {
-			return errors.New("core: multi-rack cluster needs positive cross-rack bandwidth")
-		}
-		if c.CrossRackLatency < 0 {
-			return errors.New("core: cross-rack latency must be non-negative")
-		}
+	if c.racks() > 1 && c.CrossRackMBps <= 0 {
+		return errors.New("core: multi-rack cluster needs positive cross-rack bandwidth")
 	}
 	if c.Redundancy.erasure() {
 		if c.Redundancy.localParity() {
@@ -483,8 +439,8 @@ func (c *Config) neededChannelsPerServer() int {
 				}
 			}
 		}
-		return most * c.ChannelsPerVSSD
+		return most * channelsPerVSSD
 	}
 	instances := (2*c.VSSDPairs + c.totalServers() - 1) / c.totalServers()
-	return instances * c.ChannelsPerVSSD
+	return instances * channelsPerVSSD
 }

@@ -144,3 +144,34 @@ func TestECDeterminism(t *testing.T) {
 			a.GCEvents, b.GCEvents, a.Events, b.Events)
 	}
 }
+
+// TestSoftwareControllerStaggersECGroups runs RackBlox (Software) on an
+// erasure-coded rack, the one path that registers stripe groups with the
+// software controller (controller.registerGroup): each member's GC peer
+// is the next member in group order. A write-heavy mix makes members
+// collect, so the controller must delay some soft GC requests while the
+// peer collects, and every read must still complete.
+func TestSoftwareControllerStaggersECGroups(t *testing.T) {
+	for _, spec := range []RedundancySpec{ErasureCode(2, 1), ErasureCode(4, 2)} {
+		t.Run(spec.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.System = RackBloxSoftware
+			cfg.StorageServers = 6
+			cfg.Redundancy = spec
+			cfg.Workload.WriteFrac = 0.9
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Recorder.Reads().Len() == 0 {
+				t.Fatal("no reads completed")
+			}
+			if res.LostReads != 0 || res.LostRequests != 0 {
+				t.Fatalf("lost %d reads, %d requests", res.LostReads, res.LostRequests)
+			}
+			if res.DelayedByCtl == 0 {
+				t.Fatalf("controller never delayed soft GC over %d GC events", res.GCEvents)
+			}
+		})
+	}
+}

@@ -466,7 +466,7 @@ func (r *Rack) sendEC(st *reqState) {
 	if st.write {
 		targets := g.writeHolders(stripe, pos)
 		st.ecPending = len(targets)
-		r.ecSubWrites += int64(len(targets))
+		r.res.ECSubWrites += int64(len(targets))
 		for _, t := range targets {
 			r.sendECPacket(st, t, packet.OpWrite)
 		}
@@ -493,7 +493,7 @@ func (r *Rack) sendECPacket(st *reqState, inst *instance, op packet.Op) {
 		Seq:   st.seq,
 	}
 	tor := r.torOf(inst.server)
-	if r.cluster.torDetected[inst.server.rackIdx] {
+	if r.torDetected[inst.server.rackIdx] {
 		for _, m := range st.group.insts {
 			if alt := r.torOf(m.server); !alt.Down() {
 				tor = alt
@@ -519,7 +519,7 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 	}
 	st.redirected = true
 	st.degraded = true
-	r.degradedReads++
+	r.res.DegradedReads++
 	g := st.group
 	stripe := int(st.lpn)
 	// A degraded read for a crashed-and-re-integrated holder after the
@@ -536,19 +536,19 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 		g.reintegrated() && st.issue > g.reintegratedAt {
 		repl := g.replacement[hIdx]
 		if repl == nil || (repl.server.reachable() && !repl.v.InGC(now)) {
-			r.degradedReadsPostRepair++
+			r.res.DegradedReadsPostRepair++
 		}
 	}
 
 	sources, needed, localPlan := g.degradedSources(inst, st.homeID, now)
 	if localPlan {
-		r.localDegradedReads++
+		r.res.LocalDegradedReads++
 	} else if len(sources) < needed {
 		// More failures than parity: the stripe cannot be reconstructed
 		// right now. Serve the local chunk so the request terminates, and
 		// surface the loss in the counters (ec.ErrStripeUnrecoverable is
 		// the library-level twin of this path).
-		r.unrecoverableReads++
+		r.res.UnrecoverableReads++
 		if len(sources) == 0 {
 			sources = append(sources, inst)
 		} else {
@@ -600,7 +600,7 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 		} else {
 			out := r.net.PathLatency(now, 2)
 			if f.route != fetchRack {
-				out += r.cluster.spine.Propagation()
+				out += r.spine.Propagation()
 			}
 			r.eng.AfterHandler(out, r.lbl.chunkRead, f)
 		}
@@ -614,7 +614,7 @@ func (r *Rack) scheduleRepair(g *ecGroup) {
 		return
 	}
 	g.repairArmed = true
-	r.eng.AfterHandler(r.cfg.GCCheckInterval, r.lbl.repairPump, (*repairPumpEvent)(g))
+	r.eng.AfterHandler(gcCheckInterval, r.lbl.repairPump, (*repairPumpEvent)(g))
 }
 
 // repairPump admits background chunk reconstruction only in the
@@ -749,8 +749,8 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 				shipped[src.server.rackIdx] = src
 				aggregated = true
 				crossBytes += batchBytes
-				if _, te := r.cluster.spine.CrossFetch(batchBytes, nil); te+r.cluster.spine.Propagation() > e {
-					e = te + r.cluster.spine.Propagation()
+				if _, te := r.spine.CrossFetch(batchBytes, nil); te+r.spine.Propagation() > e {
+					e = te + r.spine.Propagation()
 				}
 			}
 		}
@@ -760,9 +760,9 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 	}
 	clear(shipped)
 	if localPlan {
-		r.localRepairStripes += int64(task.Stripes)
+		r.res.LocalRepairStripes += int64(task.Stripes)
 	} else if g.hasLocalParity() && aggregated {
-		r.aggRepairStripes += int64(task.Stripes)
+		r.res.AggregatedRepairStripes += int64(task.Stripes)
 	}
 	if r.pacer != nil {
 		// Settle the admission charge against the real spine fan-out:
@@ -786,7 +786,7 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 func (r *Rack) repairTaskDone(g *ecGroup, task ec.RepairTask, sp *trace.Span, crossBytes int64, now sim.Time) {
 	sp.Annotate(trace.Int("cross_bytes", crossBytes))
 	sp.Finish(now)
-	r.lastRepairDone = now
+	r.res.RepairCompletionTime = now
 	if g.recon.Done(task) {
 		r.reintegrate(g, task.Holder)
 	}
@@ -828,7 +828,7 @@ func (r *Rack) reintegrate(g *ecGroup, holder int) {
 			continue
 		}
 		seen[tor] = true
-		delay := hop + r.cluster.spine.Latency(adopter.server.rackIdx, tor.RackID())
+		delay := hop + r.spine.Latency(adopter.server.rackIdx, tor.RackID())
 		if delay > last {
 			last = delay
 		}
@@ -860,9 +860,9 @@ func (r *Rack) reintegrate(g *ecGroup, holder int) {
 		// Every holder stores one chunk of each of the group's
 		// usedStripes stripes, so one completed holder re-integrates
 		// exactly that many.
-		r.reintegratedStripes += int64(g.usedStripes)
+		r.res.ReintegratedStripes += int64(g.usedStripes)
 		if restored {
-			r.restoredHolders++
+			r.res.RestoredHolders++
 		}
 		mode := "replacement"
 		if restored {

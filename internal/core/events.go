@@ -37,12 +37,14 @@ import (
 type labels struct {
 	issue, issueEC, timeout sim.Label
 	peerLoad                sim.Label
+	swRedirect, bounce      sim.Label
 	clientSend, deliver     sim.Label
 	respond, hermes         sim.Label
+	handoff                 sim.Label
 	pump, cacheHit, admit   sim.Label
 	staleRetry, cacheInsert sim.Label
 	gcMonitor, gcOp         sim.Label
-	gcOpTimeout             sim.Label
+	gcOpTimeout, gcNotify   sim.Label
 	chunkRead, chunkBack    sim.Label
 	decode                  sim.Label
 	repairPump, repairDone  sim.Label
@@ -55,10 +57,13 @@ func internLabels(e *sim.Engine) labels {
 		issueEC:     e.Intern("client.issue_ec"),
 		timeout:     e.Intern("client.timeout"),
 		peerLoad:    e.Intern("client.peer_load"),
+		swRedirect:  e.Intern("client.sw_redirect"),
+		bounce:      e.Intern("client.bounce"),
 		clientSend:  e.Intern("net.client_send"),
 		deliver:     e.Intern("net.deliver"),
 		respond:     e.Intern("net.respond"),
 		hermes:      e.Intern("hermes.msg"),
+		handoff:     e.Intern("net.handoff"),
 		pump:        e.Intern("server.pump"),
 		cacheHit:    e.Intern("server.cache_hit"),
 		admit:       e.Intern("server.admit"),
@@ -67,6 +72,7 @@ func internLabels(e *sim.Engine) labels {
 		gcMonitor:   e.Intern("gc.monitor"),
 		gcOp:        e.Intern("gc.op"),
 		gcOpTimeout: e.Intern("gc.op_timeout"),
+		gcNotify:    e.Intern("gc.notify"),
 		chunkRead:   e.Intern("ec.chunk_read"),
 		chunkBack:   e.Intern("ec.chunk_back"),
 		decode:      e.Intern("ec.decode"),
@@ -123,7 +129,7 @@ type hopEvent struct {
 	pkt packet.Packet
 	tor *switchsim.Switch // atToR
 	// srv is the receiving server (atNIC), or fromToR's resolved
-	// destination (nil for the client and the controller).
+	// destination (nil for the client).
 	srv *server
 	// torRack and dstRack are fromToR's sending ToR and destination rack.
 	torRack, dstRack int
@@ -217,8 +223,8 @@ func (ev *ioStep) run() {
 // per rack. The caller must clear it before returning and may not hold
 // it across anything that could call rackScratch again.
 func (r *Rack) rackScratch() []*instance {
-	if len(r.perRack) < r.cluster.racks {
-		r.perRack = make([]*instance, r.cluster.racks)
+	if len(r.perRack) < len(r.tors) {
+		r.perRack = make([]*instance, len(r.tors))
 	}
 	return r.perRack
 }
@@ -298,7 +304,7 @@ func (f *chunkFetch) Fire(now sim.Time) {
 		f.readDone(now)
 	case stepShipped:
 		r := f.dr.r
-		f.sendBack(r.cluster.spine.Propagation() + r.net.PathLatency(now, 2))
+		f.sendBack(r.spine.Propagation() + r.net.PathLatency(now, 2))
 	case stepBack:
 		f.finish()
 	}
@@ -328,7 +334,7 @@ func (f *chunkFetch) readDone(now sim.Time) {
 		f.finish()
 	case f.route == fetchSpine:
 		f.step = stepShipped
-		fs, fe := r.cluster.spine.CrossFetch(int64(r.cfg.Geometry.PageSize), f)
+		fs, fe := r.spine.CrossFetch(int64(r.cfg.Geometry.PageSize), f)
 		if dr.recSpan != nil {
 			if fs > now {
 				dr.recSpan.Child("spine_wait", now).EndAt(fs)

@@ -22,18 +22,64 @@ const missedHeartbeats = 3
 // declaring the request lost (it was in flight to a server that died).
 const clientTimeout = 100 * sim.Millisecond
 
-// scheduleFailure hands the run's fault/recovery timeline
-// (Config.Scenario) to the cluster's event driver. Validate has already
-// accepted the timeline as a whole, so the driver schedules without
-// further checks.
-func (r *Rack) scheduleFailure() {
-	for _, ev := range r.cfg.Scenario {
-		if ev.Kind.fails() {
-			r.anyFailure = true
-			break
-		}
+// reachable reports whether a server can exchange traffic with the rest
+// of the cluster: it must be alive and its rack's ToR must be up.
+func (s *server) reachable() bool {
+	return !s.failed && !s.rack.torFailed[s.rackIdx]
+}
+
+// failToR takes one rack's ToR down at the injection instant.
+func (r *Rack) failToR(rack int) {
+	r.torFailed[rack] = true
+	r.torCrashes[rack]++
+	r.tors[rack].SetDown(true)
+}
+
+// reviveServer brings a crashed storage server back online
+// (EventReviveServer). The box returns with blank DRAM and flash, so
+// recovery is more than flipping a bit: every erasure-coded chunk
+// holder it hosted is rebuilt from scratch by the metered reconstructor
+// (catch-up repair re-targeted at the original holder, spilling onto
+// the spine like any other repair) and re-registered under its own id
+// when the last chunk lands; replicated instances re-pair with their
+// survivors via Hermes AddPeer once the failover rewrites are
+// withdrawn. Reviving a healthy or out-of-range server is a no-op
+// returning false.
+func (r *Rack) reviveServer(idx int) bool {
+	if idx < 0 || idx >= len(r.servers) {
+		return false
 	}
-	r.cluster.scheduleScenario(r.cfg.Scenario)
+	srv := r.servers[idx]
+	if !srv.failed {
+		return false
+	}
+	detected := srv.detected
+	srv.failed = false
+	srv.detected = false
+	r.res.ServerRevivals++
+	if detected {
+		r.onServerRevived(srv)
+	}
+	return true
+}
+
+// reviveToR un-darkens a failed ToR (EventReviveToR): the switch comes
+// back with blank SRAM, so the control plane replays its tables from
+// surviving cluster state (replayToR). Reviving an up or out-of-range
+// ToR is a no-op, as is a second revival of the same ToR; all return
+// false.
+func (r *Rack) reviveToR(rack int) bool {
+	if rack < 0 || rack >= len(r.tors) || !r.torFailed[rack] {
+		return false
+	}
+	r.torFailed[rack] = false
+	r.torDetected[rack] = false
+	r.res.ToRRevivals++
+	tor := r.tors[rack]
+	tor.SetDown(false)
+	tor.ResetTables()
+	r.replayToR(rack)
+	return true
 }
 
 // onServerDetectedDead performs the failover: every vSSD instance on the
@@ -44,7 +90,7 @@ func (r *Rack) onServerDetectedDead(dead *server) {
 		return
 	}
 	dead.detected = true
-	r.failovers++
+	r.res.Failovers++
 	for _, pr := range r.pairs {
 		for _, inst := range []*instance{pr.primary, pr.replica} {
 			if inst.server != dead {
@@ -145,7 +191,7 @@ func (r *Rack) installFailoverOn(tors []*switchsim.Switch, deadInst, survivor *i
 	survivorIP := survivor.server.ip
 	for _, tor := range tors {
 		tor := tor
-		delay := hop + r.cluster.spine.Latency(deadInst.server.rackIdx, tor.RackID())
+		delay := hop + r.spine.Latency(deadInst.server.rackIdx, tor.RackID())
 		r.eng.AfterNamed(delay, "failover.install", func(sim.Time) {
 			if tor.Down() {
 				return
@@ -164,7 +210,7 @@ func (r *Rack) installFailoverOn(tors []*switchsim.Switch, deadInst, survivor *i
 // steer around it.
 func (r *Rack) propagateMemberDead(g *ecGroup, deadInst *instance) {
 	home := r.torOf(deadInst.server)
-	hop := r.net.HopLatency(r.eng.Now()) + r.cluster.spine.Propagation()
+	hop := r.net.HopLatency(r.eng.Now()) + r.spine.Propagation()
 	deadID := deadInst.id
 	seen := map[*switchsim.Switch]bool{home: true}
 	for _, m := range g.insts {
@@ -187,11 +233,11 @@ func (r *Rack) onToRDetectedDead(rackIdx int) {
 	// A ToR revived before the heartbeat detector fired was a transient
 	// blip: installing failovers for a healthy rack would steer reads
 	// away from reachable members forever.
-	if r.cluster.torDetected[rackIdx] || !r.cluster.torFailed[rackIdx] {
+	if r.torDetected[rackIdx] || !r.torFailed[rackIdx] {
 		return
 	}
-	r.cluster.torDetected[rackIdx] = true
-	r.failovers++
+	r.torDetected[rackIdx] = true
+	r.res.Failovers++
 	for _, pr := range r.pairs {
 		for _, inst := range []*instance{pr.primary, pr.replica} {
 			if inst.server.rackIdx != rackIdx {
@@ -238,12 +284,15 @@ func (r *Rack) installFailoverOnGroup(g *ecGroup, deadInst, adopter *instance) {
 }
 
 // replayToR rebuilds a revived ToR's blank tables from surviving
-// cluster state and clears the stale marks sibling ToRs hold for the
-// revived rack (the control-plane half of Cluster.ReviveToR). The
-// replay is modeled as instantaneous: the controller streams the table
-// image before re-enabling the data plane.
+// cluster state — vSSD registrations, stripe members with any repaired
+// replacements, and failover/remote-dead marks for members that are
+// still dead — and clears the remote-dead and failover entries sibling
+// ToRs hold for the revived rack's now-reachable members (the
+// control-plane half of reviveToR). The replay is modeled as
+// instantaneous: the controller streams the table image before
+// re-enabling the data plane.
 func (r *Rack) replayToR(rackIdx int) {
-	tor := r.cluster.tors[rackIdx]
+	tor := r.tors[rackIdx]
 
 	// Re-register every instance homed in the revived rack, mirroring
 	// the rows the original create_vssd installed: pairs point at their
@@ -328,7 +377,7 @@ func (r *Rack) replayToR(rackIdx int) {
 	// the remote-dead marks and failover rewrites installed while it was
 	// dark are stale — without this they would outlive the outage and
 	// keep steering reads away from healthy holders forever.
-	for j, sib := range r.cluster.tors {
+	for j, sib := range r.tors {
 		if j == rackIdx || sib.Down() {
 			continue
 		}
@@ -398,9 +447,9 @@ func (r *Rack) onServerRevived(srv *server) {
 func (r *Rack) clearPairFailover(inst *instance) {
 	hop := r.net.HopLatency(r.eng.Now())
 	id := inst.id
-	for j, tor := range r.cluster.tors {
+	for j, tor := range r.tors {
 		tor := tor
-		delay := hop + r.cluster.spine.Latency(inst.server.rackIdx, j)
+		delay := hop + r.spine.Latency(inst.server.rackIdx, j)
 		r.eng.AfterNamed(delay, "failover.clear", func(sim.Time) {
 			if tor.Down() {
 				return
@@ -433,7 +482,7 @@ func (r *Rack) timeout(seq uint64) {
 	delete(r.reqs, seq)
 	if st.group != nil && st.retries < maxECRetries {
 		st.retries++
-		r.ecRetransmits++
+		r.res.ECRetransmits++
 		r.seq++
 		st.seq = r.seq
 		st.ecPending = 0
@@ -449,9 +498,9 @@ func (r *Rack) timeout(seq uint64) {
 		return
 	}
 	st.decInflight()
-	r.lostRequests++
+	r.res.LostRequests++
 	if !st.write {
-		r.lostReads++
+		r.res.LostReads++
 	}
 	r.freeStates.Put(st) // r.reqs was its only holder
 }

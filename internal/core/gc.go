@@ -6,13 +6,27 @@ import (
 	"rackblox/internal/ssd"
 )
 
+// GC control-plane timing and episode sizing.
+const (
+	// gcCheckInterval is the periodic monitor period (the paper defaults
+	// to 30s on real hardware; simulations compress it).
+	gcCheckInterval = 2 * sim.Millisecond
+	// idleGCThreshold gates background GC.
+	idleGCThreshold = 30 * sim.Millisecond
+	// gcRetries bounds gc_op retransmissions on reply loss.
+	gcRetries = 3
+	// maxGCBlocksPerBurst caps one GC burst's reclaimed blocks, bounding
+	// the channel-blocked window to a few milliseconds per burst.
+	maxGCBlocksPerBurst = 1
+)
+
 // startGCMonitors begins the periodic free-block checks of Algorithm 2 for
 // every instance. Iteration goes by volume order, not map order, so the
 // RNG draws — and therefore the whole simulation — stay deterministic.
 func (r *Rack) startGCMonitors() {
 	for _, inst := range r.allInstances() {
 		// Stagger first checks so instances do not phase-lock.
-		offset := sim.Time(r.rng.Int63n(int64(r.cfg.GCCheckInterval) + 1))
+		offset := sim.Time(r.rng.Int63n(int64(gcCheckInterval) + 1))
 		r.eng.AfterHandler(offset, r.lbl.gcMonitor, (*gcMonitor)(inst))
 	}
 }
@@ -24,7 +38,7 @@ func (r *Rack) monitorGC(inst *instance) {
 	}
 	now := r.eng.Now()
 	if now < r.stopIssuing {
-		r.eng.AfterHandler(r.cfg.GCCheckInterval, r.lbl.gcMonitor, (*gcMonitor)(inst))
+		r.eng.AfterHandler(gcCheckInterval, r.lbl.gcMonitor, (*gcMonitor)(inst))
 	}
 	if inst.v.InGC(now) || inst.gcRequestInFlight {
 		return
@@ -102,7 +116,7 @@ func (r *Rack) freeRatio(inst *instance) float64 {
 // anyway, §3.5.1).
 func (r *Rack) sendGCOp(inst *instance, gcType packet.GCField, attempt int) {
 	inst.gcRequestInFlight = true
-	r.gcOpsSent++
+	r.res.GCOpsSent++
 	pkt := packet.Packet{
 		Op:    packet.OpGC,
 		GC:    gcType,
@@ -134,15 +148,15 @@ func (ev *gcOpTimeout) Fire(sim.Time) {
 	if !inst.gcRequestInFlight || inst.gcRetries != t.epoch {
 		return // reply arrived
 	}
-	if t.attempt+1 <= r.cfg.GCRetries {
-		r.gcOpRetries++
+	if t.attempt+1 <= gcRetries {
+		r.res.GCOpRetries++
 		r.sendGCOp(inst, t.gcType, t.attempt+1)
 		return
 	}
 	// Retries exhausted (link or switch failure).
 	inst.gcRequestInFlight = false
 	if t.gcType == packet.GCRegular {
-		r.forcedGCs++
+		r.res.ForcedGCs++
 		r.startGCBurst(inst, r.restoreTarget(t.gcType))
 	}
 }
@@ -157,7 +171,7 @@ func (r *Rack) notifySwitchGC(inst *instance, gcType packet.GCField) {
 		Port:  packet.ReservedPort,
 	}
 	hop := r.net.HopLatency(r.eng.Now())
-	r.sendHop(hop, r.eng.Intern("gc.notify"), hopEvent{to: atToR, tor: r.torOf(inst.server), pkt: pkt})
+	r.sendHop(hop, r.lbl.gcNotify, hopEvent{to: atToR, tor: r.torOf(inst.server), pkt: pkt})
 }
 
 // handleGCReply processes the switch's accept/delay answer.
@@ -176,25 +190,23 @@ func (r *Rack) handleGCReply(inst *instance, pkt packet.Packet) {
 	}
 }
 
-// startGCBurst reclaims blocks until the restore target and blocks the
-// involved flash channels for the work's duration.
+// startGCBurst reclaims one burst of at most maxGCBlocksPerBurst blocks
+// toward the restore target and blocks the involved flash channels for
+// the work's duration.
 //
-// Soft and background episodes run to their restore target in one
-// protected window: reads are redirected to the replica throughout, and
-// the reclaimed headroom is what keeps the two replicas' GC staggered
-// ("to make room for delaying GC", §3.5.1). Forced/regular GC — the
-// uncoordinated path VDC always takes — does only the minimal capped work
-// needed to keep accepting writes, because nothing shields reads from it.
+// A coordinated soft episode keeps bursting chunk by chunk while the
+// free ratio is below the soft threshold, inside one protected window:
+// reads are redirected to the replica throughout, and the reclaimed
+// headroom is what keeps the two replicas' GC staggered ("to make room
+// for delaying GC", §3.5.1). Every other episode — forced/regular GC,
+// the uncoordinated path VDC always takes, and background GC — does one
+// burst and closes.
 func (r *Rack) startGCBurst(inst *instance, target float64) {
-	cap := r.cfg.MaxGCBlocksPerBurst
-	if r.cfg.gcCoordinated() && inst.lastGCType == packet.GCSoft {
-		cap = r.cfg.SoftBurstBlocks // protected episode: bigger chunk
-	}
 	var burst ssd.BurstResult
 	if inst.group != nil {
-		burst = inst.group.GroupCollect(target, cap)
+		burst = inst.group.GroupCollect(target, maxGCBlocksPerBurst)
 	} else {
-		burst = inst.v.FTL.CollectBurst(target, cap)
+		burst = inst.v.FTL.CollectBurst(target, maxGCBlocksPerBurst)
 	}
 	if burst.Blocks == 0 {
 		r.finishGC(inst)
@@ -210,9 +222,6 @@ func (r *Rack) startGCBurst(inst *instance, target float64) {
 		}
 	}
 	inst.v.StartGC(end)
-	if r.TraceGC != nil {
-		r.TraceGC(inst.id, inst.lastGCType, r.eng.Now(), end, burst.Blocks)
-	}
 	r.tracer.RecordGC(inst.id, inst.lastGCType.String(), r.eng.Now(), end, burst.Blocks)
 	r.eng.AtNamed(end, "gc.burst_end", func(sim.Time) {
 		// A protected soft episode stays open — switch bit set, reads
@@ -252,11 +261,11 @@ func (r *Rack) finishGC(inst *instance) {
 // tell the coordinator about it after the fact.
 func (s *server) forceGC(inst *instance) {
 	r := s.rack
-	r.forcedGCs++
+	r.res.ForcedGCs++
 	if inst.v.InGC(r.eng.Now()) {
 		// Burst timing already accounted; reclaim state only so the
 		// caller's retry can allocate.
-		inst.v.FTL.CollectBurst(r.cfg.GCThreshold, r.cfg.MaxGCBlocksPerBurst)
+		inst.v.FTL.CollectBurst(r.cfg.GCThreshold, maxGCBlocksPerBurst)
 		return
 	}
 	r.startGCBurst(inst, r.restoreTarget(packet.GCRegular))
@@ -270,7 +279,6 @@ func (s *server) forceGC(inst *instance) {
 // every interaction costs two network hops each way plus processing.
 type controller struct {
 	rack     *Rack
-	ip       uint32
 	inGC     map[uint32]bool
 	replicas map[uint32]uint32
 }
@@ -278,7 +286,6 @@ type controller struct {
 func newController(r *Rack) *controller {
 	return &controller{
 		rack:     r,
-		ip:       packet.IP4(10, 0, 0, 250),
 		inGC:     make(map[uint32]bool),
 		replicas: make(map[uint32]uint32),
 	}
@@ -299,10 +306,6 @@ func (c *controller) registerGroup(g *ecGroup) {
 	}
 }
 
-// receive exists for symmetry with servers; controller traffic in this
-// simulation flows through direct scheduling in requestGC/notify.
-func (c *controller) receive(pkt packet.Packet) {}
-
 // requestGC asks the controller for permission to collect. The reply
 // carries the replica's state so the server can redirect reads itself.
 func (c *controller) requestGC(inst *instance, gcType packet.GCField) {
@@ -321,7 +324,7 @@ func (c *controller) requestGC(inst *instance, gcType packet.GCField) {
 				rep.replicaIdleHint = false
 			}
 		} else {
-			r.delayedByCtrl++
+			r.res.DelayedByCtl++
 		}
 		back := r.net.PathLatency(r.eng.Now(), 2)
 		r.eng.AfterNamed(back, "gc.ctrl_reply", func(sim.Time) {

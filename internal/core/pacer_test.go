@@ -102,21 +102,21 @@ func TestSpineByteCountersReconcileMidRun(t *testing.T) {
 	r.stopIssuing = cfg.Warmup + cfg.Duration
 	r.startClients()
 	r.startGCMonitors()
-	r.scheduleFailure()
+	r.scheduleScenario()
 
-	c := r.cluster
+	s := r.spine
 	sawInFlight := false
 	for now := 60 * sim.Millisecond; now <= 500*sim.Millisecond; now += sim.Millisecond {
 		r.eng.RunUntil(now)
-		if c.spine.crossRepairBytes > c.spine.crossRepairOffered {
+		if s.crossRepairBytes > s.crossRepairOffered {
 			t.Fatalf("at %d: repair delivered %d > offered %d",
-				now, c.spine.crossRepairBytes, c.spine.crossRepairOffered)
+				now, s.crossRepairBytes, s.crossRepairOffered)
 		}
-		if c.spine.foregroundBytes > c.spine.foregroundOffered {
+		if s.foregroundBytes > s.foregroundOffered {
 			t.Fatalf("at %d: foreground delivered %d > offered %d",
-				now, c.spine.foregroundBytes, c.spine.foregroundOffered)
+				now, s.foregroundBytes, s.foregroundOffered)
 		}
-		if c.spine.crossRepairBytes < c.spine.crossRepairOffered {
+		if s.crossRepairBytes < s.crossRepairOffered {
 			sawInFlight = true
 			break
 		}
@@ -124,21 +124,21 @@ func TestSpineByteCountersReconcileMidRun(t *testing.T) {
 	if !sawInFlight {
 		t.Error("never observed a repair transfer in flight; the regression scenario is dead")
 	}
-	if c.spine.crossRepairOffered == 0 {
+	if s.crossRepairOffered == 0 {
 		t.Fatal("the crash queued no cross-rack repair traffic")
 	}
 
 	r.eng.Run() // drain
-	if c.spine.crossRepairBytes != c.spine.crossRepairOffered {
+	if s.crossRepairBytes != s.crossRepairOffered {
 		t.Errorf("drained repair bytes unreconciled: delivered %d offered %d",
-			c.spine.crossRepairBytes, c.spine.crossRepairOffered)
+			s.crossRepairBytes, s.crossRepairOffered)
 	}
-	if c.spine.foregroundBytes != c.spine.foregroundOffered {
+	if s.foregroundBytes != s.foregroundOffered {
 		t.Errorf("drained foreground bytes unreconciled: delivered %d offered %d",
-			c.spine.foregroundBytes, c.spine.foregroundOffered)
+			s.foregroundBytes, s.foregroundOffered)
 	}
-	if c.spine.crossRepairBytes == 0 || c.spine.foregroundBytes == 0 {
+	if s.crossRepairBytes == 0 || s.foregroundBytes == 0 {
 		t.Errorf("spine moved no bytes: repair %d foreground %d",
-			c.spine.crossRepairBytes, c.spine.foregroundBytes)
+			s.crossRepairBytes, s.foregroundBytes)
 	}
 }

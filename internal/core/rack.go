@@ -29,6 +29,21 @@ const (
 	// invalidated key: retry after the in-flight write likely committed
 )
 
+// Fixed sizing of a vSSD and its server-side state.
+const (
+	// channelsPerVSSD is each hardware-isolated vSSD's channel count.
+	channelsPerVSSD = 2
+	// swIsolationIOPS is the per-vSSD token-bucket limit of a
+	// software-isolated vSSD (Config.SoftwareIsolated).
+	swIsolationIOPS = 50_000
+	// writeCachePages sizes each instance's DRAM write cache.
+	writeCachePages = 2048
+	// cacheHoldPages is the write-back watermark: dirty pages are flushed
+	// only above this level, so the hottest keys keep absorbing rewrites
+	// in DRAM. It controls how much of the write stream reaches flash.
+	cacheHoldPages = 128
+)
+
 // instance is one vSSD replica instance living on a server.
 type instance struct {
 	id        uint32
@@ -130,10 +145,9 @@ func (st *reqState) decInflight() {
 }
 
 // Rack is one end-to-end experiment instance. Despite the historical
-// name it can span several rack fault domains: the embedded Cluster
-// composes per-rack ToR switches under a spine link, and servers carry
-// their rack index. With Config.Racks <= 1 it is exactly the paper's
-// single-rack testbed.
+// name it can span several rack fault domains: one ToR switch per rack
+// under a spine link, and servers carry their rack index. With
+// Config.Racks <= 1 it is exactly the paper's single-rack testbed.
 type Rack struct {
 	cfg Config
 	// eng is the one single-threaded engine the whole rack runs on: the
@@ -157,22 +171,30 @@ type Rack struct {
 	freeGCTimers sim.FreeList[gcOpTimeout]
 	perRack      []*instance
 	net          *netsim.Network
-	cluster      *Cluster
-	// sw aliases the first rack's ToR for the single-rack call sites and
-	// tests; multi-rack paths go through torOf/cluster.
-	sw      *switchsim.Switch
+
+	// tors holds one ToR switch per rack, sharing the rack's forwarding
+	// fabric; spine is the explicit cross-rack boundary (spine.go).
+	tors  []*switchsim.Switch
+	spine *Spine
+	// ToR failure injection: torFailed flips at the configured instant,
+	// torDetected when the heartbeat detector notices and the surviving
+	// ToRs take over; torCrashes counts each ToR's failures so a
+	// detection timer armed by one outage cannot fire for a later one.
+	torFailed   []bool
+	torDetected []bool
+	torCrashes  []int
+
 	servers []*server
 	pairs   []*pair
 	groups  []*ecGroup
 	insts   map[uint32]*instance
-	rec     *stats.Recorder
 	reqs    map[uint64]*reqState
 	seq     uint64
 	rng     *sim.RNG
 
 	clientIP uint32
-	// controller models the VDC controller server used by VDC and
-	// RackBlox (Software); nil otherwise.
+	// controller models the VDC controller server used by RackBlox
+	// (Software); nil otherwise.
 	controller *controller
 
 	// issuing stops at Warmup+Duration; the run drains afterwards.
@@ -183,14 +205,8 @@ type Rack struct {
 	anyFailure bool
 
 	// pacer is the SLO-aware repair rate controller (nil unless
-	// Config.RepairSLO enables it); lastRepairDone is the instant the
-	// most recent repair batch completed — once the queues drain, the
-	// repair completion time of the run.
-	pacer          *RepairPacer
-	lastRepairDone sim.Time
-
-	// TraceGC, when set, observes every GC episode (diagnostics).
-	TraceGC func(vssd uint32, gcType packet.GCField, start, end sim.Time, blocks int)
+	// Config.RepairSLO enables it).
+	pacer *RepairPacer
 
 	// tracer is the flight recorder (nil unless Config.Trace.Enabled; a
 	// nil tracer no-ops every call, so the datapath records
@@ -208,37 +224,9 @@ type Rack struct {
 	completedReads  int64
 	completedWrites int64
 
-	// counters
-	failovers     int64
-	lostRequests  int64
-	bounces       int64
-	cacheHits     int64
-	staleRetries  int64
-	forcedGCs     int64
-	swRedirects   int64
-	gcOpsSent     int64
-	gcOpRetries   int64
-	delayedByCtrl int64
-
-	// erasure-coding counters
-	degradedReads      int64
-	unrecoverableReads int64
-	ecSubWrites        int64
-	ecRetransmits      int64
-	lostReads          int64
-
-	// LRC code-family counters: stripes repaired entirely inside one
-	// rack (zero spine bytes), stripes repaired with per-rack aggregated
-	// cross-rack fetches, and degraded reads served by the rack-local
-	// XOR plan.
-	localRepairStripes int64
-	aggRepairStripes   int64
-	localDegradedReads int64
-
-	// recovery-lifecycle counters
-	reintegratedStripes     int64
-	degradedReadsPostRepair int64
-	restoredHolders         int64
+	// res is the run's outcome, counted in place: the datapath bumps its
+	// counters directly and Run fills in the derived fields.
+	res Result
 }
 
 // NewRack builds and preconditions a rack per the configuration.
@@ -249,18 +237,30 @@ func NewRack(cfg Config) (*Rack, error) {
 	r := &Rack{
 		cfg:      cfg,
 		eng:      sim.NewEngine(),
-		rec:      stats.NewRecorder(),
 		reqs:     make(map[uint64]*reqState),
 		insts:    make(map[uint32]*instance),
 		rng:      sim.NewRNG(cfg.Seed),
 		clientIP: packet.IP4(10, 0, 0, 1),
+		res:      Result{System: cfg.System, Config: cfg, Recorder: stats.NewRecorder()},
 	}
 	r.lbl = internLabels(r.eng)
 	r.net = netsim.New(cfg.Net, r.rng.Fork(100))
-	r.cluster = newCluster(r)
-	r.sw = r.cluster.tors[0]
+	r.spine = newSpine(r.eng, &cfg)
+	racks := cfg.racks()
+	r.tors = make([]*switchsim.Switch, racks)
+	r.torFailed = make([]bool, racks)
+	r.torDetected = make([]bool, racks)
+	r.torCrashes = make([]int, racks)
+	for j := range r.tors {
+		tor := switchsim.New(r.eng, switchsim.QdiscByName(cfg.defaultQdisc()), r.forwarderFor(j))
+		tor.ConfigureRack(j, r.handoff)
+		if cfg.GCReplyDropRate > 0 {
+			tor.SetDropRate(cfg.GCReplyDropRate, r.rng.Fork(int64(101+10*j)))
+		}
+		r.tors[j] = tor
+	}
 	r.tracer = trace.New(cfg.Trace)
-	r.perRackReqs = make([]int64, r.cluster.racks)
+	r.perRackReqs = make([]int64, racks)
 	if cfg.RepairSLO.Enabled() {
 		// Validate guarantees Racks > 1, so the spine exists.
 		r.pacer = newRepairPacer(r.eng, &cfg)
@@ -273,7 +273,7 @@ func NewRack(cfg Config) (*Rack, error) {
 		if err != nil {
 			return nil, err
 		}
-		rackIdx := r.cluster.RackOf(i)
+		rackIdx := i / cfg.StorageServers
 		s := &server{
 			rack:    r,
 			index:   i,
@@ -310,7 +310,7 @@ func NewRack(cfg Config) (*Rack, error) {
 // control-plane instants. Only called with tracing enabled, and every
 // hook only reads state — the traced event sequence stays identical.
 func (r *Rack) installTraceHooks() {
-	for j, tor := range r.cluster.tors {
+	for j, tor := range r.tors {
 		j := j
 		tor.TraceHook = func(ev switchsim.TraceEvent) {
 			if ev.Seq == 0 {
@@ -342,8 +342,8 @@ func (r *Rack) channelAllocator() func(*server) ([]int, error) {
 	cfg := r.cfg
 	nextChannel := make([]int, len(r.servers))
 	return func(srv *server) ([]int, error) {
-		chs := make([]int, 0, cfg.ChannelsPerVSSD)
-		for j := 0; j < cfg.ChannelsPerVSSD; j++ {
+		chs := make([]int, 0, channelsPerVSSD)
+		for j := 0; j < channelsPerVSSD; j++ {
 			if nextChannel[srv.index] >= cfg.Geometry.Channels {
 				return nil, fmt.Errorf("core: server %d out of channels", srv.index)
 			}
@@ -432,15 +432,11 @@ func (r *Rack) newInstance(srv *server, id, replicaID uint32, pairIdx int, prima
 		if len(mine) == 0 || len(theirs) == 0 {
 			return nil, fmt.Errorf("core: channel set too small to split for software isolation")
 		}
-		iops := cfg.SWIsolationIOPS
-		if iops <= 0 {
-			iops = 50_000
-		}
-		v, err = vssd.NewSoftwareIsolated(srv.dev, id, mine, cfg.Utilization, iops)
+		v, err = vssd.NewSoftwareIsolated(srv.dev, id, mine, cfg.Utilization, swIsolationIOPS)
 		if err != nil {
 			return nil, err
 		}
-		peer, err2 := vssd.NewSoftwareIsolated(srv.dev, id+1000, theirs, cfg.Utilization, iops)
+		peer, err2 := vssd.NewSoftwareIsolated(srv.dev, id+1000, theirs, cfg.Utilization, swIsolationIOPS)
 		if err2 != nil {
 			return nil, err2
 		}
@@ -459,14 +455,14 @@ func (r *Rack) newInstance(srv *server, id, replicaID uint32, pairIdx int, prima
 	inst := &instance{
 		id: id, v: v, server: srv, pairIdx: pairIdx,
 		replicaID: replicaID, primary: primary,
-		cache: newWriteCache(cfg.WriteCachePages),
+		cache: newWriteCache(writeCachePages),
 		peer:  peerOf(group, v),
 		queue: sched.New(sched.Config{
 			Policy:      cfg.SchedPolicy,
 			Coordinated: cfg.coordinated(),
 		}),
 		pred:            predictor.NewLatency(predictor.DefaultWindow),
-		idle:            predictor.NewIdle(predictor.DefaultAlpha, cfg.IdleGCThreshold),
+		idle:            predictor.NewIdle(predictor.DefaultAlpha, idleGCThreshold),
 		maxInflight:     2 * len(channels),
 		group:           group,
 		replicaIdleHint: true,
@@ -490,12 +486,12 @@ func (r *Rack) hermesTransport(pri, rep *instance) replication.Transport {
 		dst := byNode(msg.To)
 		src := byNode(1 - msg.To)
 		delay := r.net.PathLatency(r.eng.Now(), 2) +
-			r.cluster.spine.Latency(src.server.rackIdx, dst.server.rackIdx)
+			r.spine.Latency(src.server.rackIdx, dst.server.rackIdx)
 		if src.server.rackIdx != dst.server.rackIdx {
 			// Cross-rack replication is foreground spine traffic too:
 			// invalidations carry the written page, acks a bare header.
-			delay += r.cluster.spine.MeterForeground(
-				r.cluster.spine.MessageBytes(msg.Type == replication.MsgInv))
+			delay += r.spine.MeterForegroundTraced(
+				r.spine.MessageBytes(msg.Type == replication.MsgInv), nil)
 		}
 		r.eng.AfterHandler(delay, r.lbl.hermes, r.newIO(ioStep{kind: ioHermes, inst: dst, msg: msg}))
 	}
@@ -598,11 +594,10 @@ func (r *Rack) Keyspace() int {
 	return int(float64(ftl.LogicalPages()) * r.cfg.KeyspaceFrac)
 }
 
-// Engine exposes the simulation engine (tests).
-func (r *Rack) Engine() *sim.Engine { return r.eng }
-
-// Switch exposes the first rack's ToR switch (tests).
-func (r *Rack) Switch() *switchsim.Switch { return r.sw }
+// torOf returns the ToR switch serving a server's rack.
+func (r *Rack) torOf(s *server) *switchsim.Switch {
+	return r.tors[s.rackIdx]
+}
 
 // peerOf returns the other member of a two-member channel group, nil when
 // ungrouped.

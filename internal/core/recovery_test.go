@@ -96,7 +96,7 @@ func TestToRRevivalClearsSiblingState(t *testing.T) {
 			continue
 		}
 		for _, id := range darkMembers {
-			if r.cluster.Tor(j).RemoteDead(id) {
+			if r.tors[j].RemoteDead(id) {
 				stale++
 			}
 		}
@@ -122,12 +122,12 @@ func TestToRRevivalClearsSiblingState(t *testing.T) {
 			continue
 		}
 		for _, id := range darkMembers {
-			if r2.cluster.Tor(j).RemoteDead(id) {
+			if r2.tors[j].RemoteDead(id) {
 				t.Fatalf("ToR %d still marks member %d remote-dead after revival", j, id)
 			}
 		}
 	}
-	if r2.cluster.TorDown(darkRack) || r2.cluster.Tor(darkRack).Down() {
+	if r2.torFailed[darkRack] || r2.tors[darkRack].Down() {
 		t.Fatal("revived ToR still down")
 	}
 	if res.DegradedReadsPostRepair != 0 {
@@ -144,17 +144,17 @@ func TestReviveToRNoFailureIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.cluster.ReviveToR(0) {
+	if r.reviveToR(0) {
 		t.Fatal("reviving a healthy ToR reported work done")
 	}
-	if r.cluster.ReviveToR(-1) || r.cluster.ReviveToR(99) {
+	if r.reviveToR(-1) || r.reviveToR(99) {
 		t.Fatal("out-of-range revival reported work done")
 	}
-	r.cluster.failToR(2)
-	if !r.cluster.ReviveToR(2) {
+	r.failToR(2)
+	if !r.reviveToR(2) {
 		t.Fatal("first revival of a failed ToR did nothing")
 	}
-	if r.cluster.ReviveToR(2) {
+	if r.reviveToR(2) {
 		t.Fatal("second revival of the same ToR reported work done")
 	}
 	res := r.Run()

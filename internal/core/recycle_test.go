@@ -56,8 +56,8 @@ func TestStaleAttemptCannotTouchRecycledState(t *testing.T) {
 					r.timeout(seq)
 					seq = r.seq
 				}
-				if r.ecRetransmits != maxECRetries {
-					t.Fatalf("%d retransmits, want %d", r.ecRetransmits, maxECRetries)
+				if r.res.ECRetransmits != maxECRetries {
+					t.Fatalf("%d retransmits, want %d", r.res.ECRetransmits, maxECRetries)
 				}
 				return st
 			},
@@ -98,8 +98,8 @@ func TestStaleAttemptCannotTouchRecycledState(t *testing.T) {
 					t.Fatal(err)
 				}
 				retired := tc.stale(t, r)
-				if r.lostRequests != 1 || len(r.reqs) != 0 {
-					t.Fatalf("after giving up: %d lost, %d in flight; want 1, 0", r.lostRequests, len(r.reqs))
+				if r.res.LostRequests != 1 || len(r.reqs) != 0 {
+					t.Fatalf("after giving up: %d lost, %d in flight; want 1, 0", r.res.LostRequests, len(r.reqs))
 				}
 				if !tc.pending(r) {
 					t.Fatal("the stale completion already landed; the case exercises nothing")
@@ -113,9 +113,9 @@ func TestStaleAttemptCannotTouchRecycledState(t *testing.T) {
 				if tc.pending(r) {
 					t.Fatal("the stale completion never landed")
 				}
-				if r.completedWrites != 1 || r.rec.Len() != 1 {
+				if r.completedWrites != 1 || r.res.Recorder.Len() != 1 {
 					t.Errorf("%d writes completed, %d samples; want the fresh write counted once",
-						r.completedWrites, r.rec.Len())
+						r.completedWrites, r.res.Recorder.Len())
 				}
 				return staleRun{r: r, reused: reused}
 			}
@@ -126,9 +126,9 @@ func TestStaleAttemptCannotTouchRecycledState(t *testing.T) {
 			if want.reused {
 				t.Fatal("the reference run reused the retired state")
 			}
-			if !reflect.DeepEqual(got.r.rec, want.r.rec) {
+			if !reflect.DeepEqual(got.r.res.Recorder, want.r.res.Recorder) {
 				t.Errorf("samples differ from a run without recycling:\n got %+v\nwant %+v",
-					got.r.rec.All(), want.r.rec.All())
+					got.r.res.Recorder.All(), want.r.res.Recorder.All())
 			}
 			if g, w := got.r.eng.ProcessedBy(), want.r.eng.ProcessedBy(); !reflect.DeepEqual(g, w) {
 				t.Errorf("handler counts differ from a run without recycling:\n got %v\nwant %v", g, w)

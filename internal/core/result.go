@@ -92,11 +92,11 @@ type Result struct {
 	// healing, excluding steering legitimately caused by the
 	// replacement itself collecting or being unreachable — zero when
 	// the loop closes correctly; ToRRevivals counts dark switches
-	// brought back by Cluster.ReviveToR. ServerRevivals counts crashed
-	// servers brought back by a ReviveServer scenario event
-	// (Cluster.ReviveServer), and RestoredHolders the chunk holders
-	// whose catch-up repair landed the full chunk set back on the
-	// revived original server, re-registered under their own ids.
+	// brought back by a ReviveToR scenario event. ServerRevivals counts
+	// crashed servers brought back by a ReviveServer scenario event, and
+	// RestoredHolders the chunk holders whose catch-up repair landed the
+	// full chunk set back on the revived original server, re-registered
+	// under their own ids.
 	ReintegratedStripes     int64
 	DegradedReadsPostRepair int64
 	ToRRevivals             int64
@@ -157,62 +157,35 @@ func (r *Rack) Run() *Result {
 	r.startMetrics()
 	r.startClients()
 	r.startGCMonitors()
-	r.scheduleFailure()
+	r.scheduleScenario()
 	if r.pacer != nil {
 		r.eng.AfterHandler(r.pacer.slo.Interval, r.lbl.pacedTick, (*pacerTickEvent)(r))
 	}
 	r.eng.Run()
 
-	res := &Result{
-		System:             r.cfg.System,
-		Config:             r.cfg,
-		Recorder:           r.rec,
-		Switch:             r.cluster.Stats(),
-		ForcedGCs:          r.forcedGCs,
-		GCOpsSent:          r.gcOpsSent,
-		GCOpRetries:        r.gcOpRetries,
-		DelayedByCtl:       r.delayedByCtrl,
-		Failovers:          r.failovers,
-		LostRequests:       r.lostRequests,
-		Bounces:            r.bounces,
-		CacheHits:          r.cacheHits,
-		StaleRetries:       r.staleRetries,
-		SWRedirects:        r.swRedirects,
-		DegradedReads:      r.degradedReads,
-		UnrecoverableReads: r.unrecoverableReads,
-		ECSubWrites:        r.ecSubWrites,
-		ECRetransmits:      r.ecRetransmits,
-		LostReads:          r.lostReads,
-
-		LocalRepairStripes:      r.localRepairStripes,
-		AggregatedRepairStripes: r.aggRepairStripes,
-		LocalDegradedReads:      r.localDegradedReads,
-
-		SimulatedTime:   r.eng.Now(),
-		Events:          r.eng.Processed(),
-		EventsByHandler: r.eng.ProcessedBy(),
+	// A copy, so the returned Result does not keep the Rack alive.
+	res := r.res
+	for _, tor := range r.tors {
+		res.Switch.Add(tor.Stats())
 	}
+	res.SimulatedTime = r.eng.Now()
+	res.Events = r.eng.Processed()
+	res.EventsByHandler = r.eng.ProcessedBy()
 	if r.tracer != nil {
 		res.Trace = r.tracer.Collect()
 		res.TailAttribution = res.Trace.TailAttribution(0.01)
 	}
 	res.Timelines = r.metrics
-	res.CrossRackRepairBytes = r.cluster.spine.crossRepairBytes
-	res.CrossRackRepairBytesOffered = r.cluster.spine.crossRepairOffered
-	res.CrossRackFetches = r.cluster.spine.crossFetches
-	res.SpineUtilization = r.cluster.SpineUtilization()
-	res.ForegroundCrossRackBytes = r.cluster.spine.foregroundBytes
-	res.ForegroundCrossRackBytesOffered = r.cluster.spine.foregroundOffered
-	res.RepairCompletionTime = r.lastRepairDone
+	res.CrossRackRepairBytes = r.spine.crossRepairBytes
+	res.CrossRackRepairBytesOffered = r.spine.crossRepairOffered
+	res.CrossRackFetches = r.spine.crossFetches
+	res.SpineUtilization = r.spine.Utilization()
+	res.ForegroundCrossRackBytes = r.spine.foregroundBytes
+	res.ForegroundCrossRackBytesOffered = r.spine.foregroundOffered
 	if r.pacer != nil {
 		res.SLOViolationFraction = r.pacer.violationFraction()
 		res.RepairRateTimeline = append([]RatePoint(nil), r.pacer.timeline...)
 	}
-	res.ReintegratedStripes = r.reintegratedStripes
-	res.DegradedReadsPostRepair = r.degradedReadsPostRepair
-	res.ToRRevivals = r.cluster.torRevivals
-	res.ServerRevivals = r.cluster.serverRevivals
-	res.RestoredHolders = r.restoredHolders
 	for _, g := range r.groups {
 		res.RepairedStripes += int64(g.recon.RepairedStripes())
 		res.RepairPending += int64(g.recon.Pending())
@@ -263,5 +236,5 @@ func (r *Rack) Run() *Result {
 		wa += inst.v.FTL.WriteAmplification()
 	}
 	res.WriteAmp = wa / float64(len(insts))
-	return res
+	return &res
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rackblox/internal/sim"
+	"rackblox/internal/trace"
 )
 
 // Scenario timeline API: the failure-injection surface of a run is a
@@ -13,7 +14,7 @@ import (
 // its own instant, so a single run can express server revival with
 // catch-up repair, repeated fail/heal cycles, and staggered rack and
 // ToR outages. validateScenario checks the timeline as a whole and
-// Cluster.scheduleScenario executes it.
+// Rack.scheduleScenario executes it.
 
 // EventKind enumerates the typed scenario events.
 type EventKind int
@@ -36,8 +37,7 @@ const (
 	// instances re-pair with their survivors (Hermes AddPeer).
 	EventReviveServer
 	// EventReviveToR un-darkens a failed ToR: blank SRAM, control-plane
-	// table replay from survivors, sibling marks cleared
-	// (Cluster.ReviveToR).
+	// table replay from survivors, sibling marks cleared.
 	EventReviveToR
 )
 
@@ -102,7 +102,7 @@ func ReviveToR(idx int, at sim.Time) Event {
 }
 
 // validateScenario checks the timeline as a whole, walking the events
-// in the order Cluster.scheduleScenario executes them — by time, and at
+// in the order Rack.scheduleScenario executes them — by time, and at
 // one instant every revival before any failure — with the cluster state
 // they would produce: indices must be in range, a down server or ToR
 // cannot fail again before it is revived, a revival must name something
@@ -210,4 +210,105 @@ func (c *Config) validateScenario() error {
 		}
 	}
 	return nil
+}
+
+// scheduleScenario arms the run's timeline (Config.Scenario) on the
+// engine: one crash callback per fail event at its instant, one
+// heartbeat-detection callback three silent periods later, and one
+// revival callback per revive event. Validate has already accepted the
+// timeline as a whole, so nothing is checked here. The timeline is
+// walked in stable time order; revive events are inserted first so a
+// revival runs before any crash or detection callback landing on the
+// same instant — a server revived exactly when its detector fires is a
+// transient blip, not an outage. validateScenario walks events in this
+// same order.
+// Each detection callback is stamped with the crash epoch that armed it
+// and fires only while that epoch's outage persists: a server (or ToR)
+// that revived and crashed again inside the detection window is a new
+// outage whose own detector honors the full three missed heartbeats.
+func (r *Rack) scheduleScenario() {
+	order := append([]Event(nil), r.cfg.Scenario...)
+	sort.SliceStable(order, func(i, j int) bool { return order[i].At < order[j].At })
+	detect := sim.Time(missedHeartbeats * HeartbeatInterval)
+	for _, ev := range order {
+		ev := ev
+		r.anyFailure = r.anyFailure || ev.Kind.fails()
+		switch ev.Kind {
+		case EventReviveServer:
+			r.eng.AtNamed(ev.At, "scenario", func(now sim.Time) {
+				if r.reviveServer(ev.Index) {
+					r.tracer.Instant("scenario", "revive_server", now,
+						trace.Int("server", int64(ev.Index)))
+				}
+			})
+		case EventReviveToR:
+			r.eng.AtNamed(ev.At, "scenario", func(now sim.Time) {
+				if r.reviveToR(ev.Index) {
+					r.tracer.Instant("scenario", "revive_tor", now,
+						trace.Int("rack", int64(ev.Index)))
+				}
+			})
+		}
+	}
+	serverEpoch := make(map[int]int)
+	torEpoch := make(map[int]int)
+	for _, ev := range order {
+		ev := ev
+		switch ev.Kind {
+		case EventFailServer:
+			srv := r.servers[ev.Index]
+			serverEpoch[ev.Index]++
+			epoch := serverEpoch[ev.Index]
+			r.eng.AtNamed(ev.At, "scenario", func(now sim.Time) {
+				srv.failed = true
+				srv.crashes++
+				r.tracer.Instant("scenario", "fail_server", now,
+					trace.Int("server", int64(ev.Index)))
+			})
+			r.eng.AtNamed(ev.At+detect, "scenario", func(sim.Time) {
+				// failed==false: revived before detection, a transient
+				// blip. crashes!=epoch: this detector's outage already
+				// ended and a newer crash owns the server.
+				if srv.failed && srv.crashes == epoch {
+					r.onServerDetectedDead(srv)
+				}
+			})
+		case EventFailRack:
+			lo := ev.Index * r.cfg.StorageServers
+			hi := lo + r.cfg.StorageServers
+			epochs := make([]int, hi-lo)
+			for i := lo; i < hi; i++ {
+				serverEpoch[i]++
+				epochs[i-lo] = serverEpoch[i]
+			}
+			r.eng.AtNamed(ev.At, "scenario", func(now sim.Time) {
+				for i := lo; i < hi; i++ {
+					r.servers[i].failed = true
+					r.servers[i].crashes++
+				}
+				r.tracer.Instant("scenario", "fail_rack", now,
+					trace.Int("rack", int64(ev.Index)))
+			})
+			r.eng.AtNamed(ev.At+detect, "scenario", func(sim.Time) {
+				for i := lo; i < hi; i++ {
+					if r.servers[i].failed && r.servers[i].crashes == epochs[i-lo] {
+						r.onServerDetectedDead(r.servers[i])
+					}
+				}
+			})
+		case EventFailToR:
+			torEpoch[ev.Index]++
+			epoch := torEpoch[ev.Index]
+			r.eng.AtNamed(ev.At, "scenario", func(now sim.Time) {
+				r.failToR(ev.Index)
+				r.tracer.Instant("scenario", "fail_tor", now,
+					trace.Int("rack", int64(ev.Index)))
+			})
+			r.eng.AtNamed(ev.At+detect, "scenario", func(sim.Time) {
+				if r.torCrashes[ev.Index] == epoch {
+					r.onToRDetectedDead(ev.Index)
+				}
+			})
+		}
+	}
 }

@@ -457,7 +457,7 @@ func TestHermesGroupChangeIsDeterministic(t *testing.T) {
 		pending := 0
 		var probe sim.EventFunc
 		probe = func(now sim.Time) {
-			if (atDetection && r.failovers > 0) || now >= reviveAt {
+			if (atDetection && r.res.Failovers > 0) || now >= reviveAt {
 				return
 			}
 			pending = 0

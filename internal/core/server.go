@@ -188,7 +188,7 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 		st.bounced = true
 		st.dispatched = 0 // queue accounting restarts at the new server
 		inst.inflight--
-		r.bounces++
+		r.res.Bounces++
 		r.freeReqs.Put(req)
 		r.bounceRead(inst, st)
 		s.pump(inst)
@@ -199,14 +199,14 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 	// invalidated by an in-flight write; wait briefly for the commit.
 	// Erasure-coded chunk holders (no Hermes node) always serve.
 	if inst.repl != nil && !inst.repl.CanRead(lpn) && attempt < 3 {
-		r.staleRetries++
+		r.res.StaleRetries++
 		r.eng.AfterHandler(hermesRetryGap, r.lbl.staleRetry,
 			r.newIO(ioStep{kind: ioRetry, inst: inst, req: req, attempt: attempt + 1}))
 		return
 	}
 
 	if inst.cache.Contains(inst.id, lpn) {
-		r.cacheHits++
+		r.res.CacheHits++
 		r.eng.AfterHandler(cacheHitTime, r.lbl.cacheHit, r.newIO(ioStep{kind: ioReadDone, inst: inst, req: req}))
 		return
 	}
@@ -358,8 +358,7 @@ func (s *server) flushPump(inst *instance) {
 	// Write-back watermark: dirty pages below the hold level stay in DRAM
 	// absorbing rewrites (hot keys never reach flash), which is what
 	// keeps GC traffic proportional to the *unique* write footprint.
-	hold := s.rack.cfg.CacheHoldPages
-	for inst.flushInflight < inst.maxFlushInflight && inst.cache.Len() > hold {
+	for inst.flushInflight < inst.maxFlushInflight && inst.cache.Len() > cacheHoldPages {
 		_, lpn, ok := inst.cache.NextFlush()
 		if !ok {
 			return

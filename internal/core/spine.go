@@ -21,7 +21,6 @@ import (
 type Spine struct {
 	eng      *sim.Engine
 	link     *sim.Bandwidth // nil with one rack
-	latency  sim.Time
 	pageSize int64
 
 	// Cross-rack repair accounting: chunk bytes moved over the spine for
@@ -70,13 +69,16 @@ func (d *spineDone) Fire(now sim.Time) {
 	}
 }
 
+// crossRackLatency is the added one-way latency of a spine crossing
+// (ToR -> aggregation -> ToR), on top of the per-hop edge latency.
+const crossRackLatency = 50 * sim.Microsecond
+
 // newSpine builds the cross-rack boundary for a topology of racks fault
 // domains on eng (the rack's engine). The link exists only when
 // racks > 1.
 func newSpine(eng *sim.Engine, cfg *Config) *Spine {
 	s := &Spine{
 		eng:      eng,
-		latency:  cfg.CrossRackLatency,
 		pageSize: int64(cfg.Geometry.PageSize),
 	}
 	if cfg.racks() > 1 {
@@ -91,12 +93,12 @@ func (s *Spine) Latency(a, b int) sim.Time {
 	if a == b {
 		return 0
 	}
-	return s.latency
+	return crossRackLatency
 }
 
 // Propagation returns the unconditional cross-rack propagation latency —
 // the Latency(a, b) value for any a != b.
-func (s *Spine) Propagation() sim.Time { return s.latency }
+func (s *Spine) Propagation() sim.Time { return crossRackLatency }
 
 // frameHeaderBytes is the header cost every metered spine frame pays.
 const frameHeaderBytes = 64
@@ -119,19 +121,15 @@ func (s *Spine) FrameBytes(pkt packet.Packet) int64 {
 	return s.MessageBytes(pkt.Op == packet.OpWrite || pkt.Op == packet.OpResponse)
 }
 
-// MeterForeground reserves the spine for one foreground (non-repair)
-// payload and returns the extra delay the sender pays before the spine's
-// propagation latency: queueing behind earlier transfers — repair
-// batches included, so client and repair traffic contend realistically —
-// plus the transfer time itself. Free (and zero-delay) with one rack.
-func (s *Spine) MeterForeground(bytes int64) sim.Time {
-	return s.MeterForegroundTraced(bytes, nil)
-}
-
-// MeterForegroundTraced is MeterForeground plus flight-recorder detail:
-// a non-nil sp gets the spine queueing wait and the transfer window as
-// child spans. Recording only reads the transfer's reservation times, so
-// traced behavior is byte-identical to untraced.
+// MeterForegroundTraced reserves the spine for one foreground
+// (non-repair) payload and returns the extra delay the sender pays
+// before the spine's propagation latency: queueing behind earlier
+// transfers — repair batches included, so client and repair traffic
+// contend realistically — plus the transfer time itself. Free (and
+// zero-delay) with one rack. A non-nil sp gets the spine queueing wait
+// and the transfer window as child spans; recording only reads the
+// transfer's reservation times, so traced behavior is byte-identical to
+// untraced.
 func (s *Spine) MeterForegroundTraced(bytes int64, sp *trace.Span) sim.Time {
 	if s.link == nil || bytes <= 0 {
 		return 0
@@ -171,19 +169,3 @@ func (s *Spine) Utilization() float64 {
 	}
 	return s.link.Utilization()
 }
-
-// CrossRepairBytes returns the chunk bytes repair traffic has fully
-// moved over the spine so far (transfers still in flight excluded).
-func (s *Spine) CrossRepairBytes() int64 { return s.crossRepairBytes }
-
-// CrossRepairBytesOffered returns the repair bytes handed to the spine,
-// counted at enqueue — the old meaning of CrossRepairBytes.
-func (s *Spine) CrossRepairBytesOffered() int64 { return s.crossRepairOffered }
-
-// ForegroundBytes returns the foreground (non-repair) bytes the spine
-// has fully delivered so far.
-func (s *Spine) ForegroundBytes() int64 { return s.foregroundBytes }
-
-// ForegroundBytesOffered returns the foreground bytes handed to the
-// spine, counted at enqueue.
-func (s *Spine) ForegroundBytesOffered() int64 { return s.foregroundOffered }

@@ -17,8 +17,10 @@ import (
 // single-server loss (the rack-local XOR plan never touches the spine,
 // where RS must fetch k chunks per stripe, most from remote racks);
 // under the rack crash cross_chunks_per_stripe stays below k for both —
-// survivors aggregate per rack — but LRC ships strictly fewer chunks
-// than RS; and repair_done_ms improves under the same RepairSLO because
+// RS because it reads the adopter's own rack first and ships only the
+// rest, LRC because each remote rack aggregates its survivors into one
+// shipped chunk (RS never aggregates: its agg_repair is 0) — but LRC
+// ships strictly fewer chunks than RS; and repair_done_ms improves under the same RepairSLO because
 // token-free local batches and smaller spine batches drain the queue
 // sooner. unrecov_stripes is zero everywhere: neither scenario exceeds
 // either family's durability.

@@ -290,6 +290,7 @@ func (g *ChannelGroup) GroupCollect(target float64, maxBlocks int) ssd.BurstResu
 		out.Blocks += res.Blocks
 		out.Moved += res.Moved
 		out.Duration += res.Duration
+		//rackvet:commutative integer sums into per-channel entries commute
 		for ch, d := range res.PerChannel {
 			out.PerChannel[ch] += d
 		}

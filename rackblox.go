@@ -31,13 +31,13 @@
 // # Multi-rack clusters
 //
 // Setting Config.Racks > 1 composes that many rack fault domains under a
-// simulated spine/aggregation link (the Cluster topology layer): every
-// rack gets its own ToR switch, cross-rack packets pay
-// Config.CrossRackLatency, and bulk repair traffic is metered on a
-// shared link of Config.CrossRackMBps — transfers serialize, so repair
-// throughput can never exceed the configured cross-rack bandwidth, which
-// Result.CrossRackRepairBytes and Result.SpineUtilization expose as
-// first-class measurements. Config.Placement then chooses how
+// simulated spine/aggregation link: every rack gets its own ToR switch,
+// cross-rack packets pay a fixed 50 µs spine latency, and bulk repair
+// traffic is metered on a shared link of Config.CrossRackMBps —
+// transfers serialize, so repair throughput can never exceed the
+// configured cross-rack bandwidth, which Result.CrossRackRepairBytes and
+// Result.SpineUtilization expose as first-class measurements.
+// Config.Placement then chooses how
 // erasure-coded stripes map onto the fault domains: PlacementCompact
 // confines each stripe group to one rack (the original layout), while
 // PlacementSpread distributes every stripe across racks with at most m
@@ -85,8 +85,8 @@
 // ReviveToR — each carrying its own instant, validated as a whole
 // (ordering, index ranges, no double-crash of a down server,
 // revive-before-fail rejected, same-instant rack+ToR double-booking
-// rejected) with typed *FailureSpecError rejections, and executed by
-// the cluster's event driver:
+// rejected) with typed *FailureSpecError rejections, and executed on the
+// simulation engine at each event's instant:
 //
 //	cfg := rackblox.DefaultConfig()
 //	cfg.Scenario = []rackblox.Event{
@@ -241,7 +241,9 @@
 // construction rather than by review:
 //
 //   - simdeterminism: simulation packages (internal/sim, core, ec,
-//     switchsim, experiments) contain no order-sensitive map iteration —
+//     switchsim, experiments, and the replication, ssd, vssd and sched
+//     layers that run inside event handlers) contain no order-sensitive
+//     map iteration —
 //     a map range whose body schedules events, writes exported result
 //     state, records trace/stats samples, or draws randomness must
 //     iterate sorted keys or carry a `//rackvet:commutative <rationale>`
