@@ -17,7 +17,7 @@ type ecHarness struct {
 	hosts []uint32
 }
 
-func newECHarness(t *testing.T) *ecHarness {
+func newECHarness(t testing.TB) *ecHarness {
 	t.Helper()
 	h := &ecHarness{eng: sim.NewEngine()}
 	h.sw = New(h.eng, nil, func(p packet.Packet) { h.out = append(h.out, p) })

@@ -23,7 +23,7 @@ type harness struct {
 	out []packet.Packet
 }
 
-func newHarness(t *testing.T, q Qdisc) *harness {
+func newHarness(t testing.TB, q Qdisc) *harness {
 	t.Helper()
 	h := &harness{eng: sim.NewEngine()}
 	h.sw = New(h.eng, q, func(p packet.Packet) { h.out = append(h.out, p) })
