@@ -18,7 +18,9 @@
 //	rackbench -scenario "fail-server:0@120ms" -repair-slo 4ms
 //
 // Scale < 1 shrinks the measured window proportionally (useful for quick
-// looks); 1.0 reproduces the full-length runs recorded in EXPERIMENTS.md.
+// looks); 1.0 runs the full-length windows. BENCH_all.json records every
+// experiment's tables at scale 0.25 (rackbench -exp all -scale 0.25
+// -json auto), and TestBenchTablesUnchanged checks them against it.
 //
 // -redundancy runs a single YCSB 50/50 summary with the chosen backend
 // ("replication", "rsK,M" like rs4,2, or "lrcK,M" like lrc4,2 — the

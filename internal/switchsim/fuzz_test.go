@@ -87,7 +87,7 @@ func FuzzStripeTableReplay(f *testing.F) {
 					everReplaced[ids[i]] = true
 					for tj := 0; tj < 2; tj++ {
 						tors[tj].ReplaceStripeMember(ids[i], repl)
-						if _, ok := tors[tj].ReplacedBy(ids[i]); ok {
+						if tors[tj].get(ids[i]).replaced {
 							alias[tj][ids[i]] = repl
 						}
 					}

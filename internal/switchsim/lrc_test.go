@@ -98,8 +98,8 @@ func TestLRCLocalParityStaggersGC(t *testing.T) {
 func TestLRCReplaceLocalParityMember(t *testing.T) {
 	h := newLRCHarness(t)
 	h.sw.ReplaceStripeMember(h.ids[6], h.ids[0])
-	group, ok := h.sw.StripeGroup(h.ids[0])
-	if !ok {
+	group := h.sw.get(h.ids[0]).group
+	if group == nil {
 		t.Fatal("stripe group lost")
 	}
 	for _, id := range group {

@@ -22,54 +22,31 @@ func (Passthrough) Admit(_ packet.Packet, now sim.Time) sim.Time { return now }
 // TokenBucket rate-limits each flow (source IP), the isolation mechanism
 // VDC uses end to end (§4.1 "multi-resource token bucket rate limiting").
 type TokenBucket struct {
-	// Rate is the sustained packets/second per flow.
-	Rate float64
-	// Burst is the bucket depth in packets.
-	Burst float64
+	// rate is the sustained packets/second per flow, burst the bucket
+	// depth in packets.
+	rate, burst float64
 
-	buckets map[uint32]*bucketState
+	flows map[uint32]*sim.TokenBucket
 }
 
-type bucketState struct {
-	tokens float64
-	last   sim.Time
-}
-
-// NewTokenBucket builds the policy with the given per-flow rate and burst.
+// NewTokenBucket builds the policy with the given per-flow rate and
+// burst; rate <= 0 selects 100k packets/second.
 func NewTokenBucket(rate, burst float64) *TokenBucket {
 	if rate <= 0 {
 		rate = 100_000
 	}
-	if burst < 1 {
-		burst = 1
-	}
-	return &TokenBucket{Rate: rate, Burst: burst, buckets: map[uint32]*bucketState{}}
+	return &TokenBucket{rate: rate, burst: burst, flows: map[uint32]*sim.TokenBucket{}}
 }
 
 func (t *TokenBucket) Name() string { return "TB" }
 
 func (t *TokenBucket) Admit(pkt packet.Packet, now sim.Time) sim.Time {
-	b, ok := t.buckets[pkt.SrcIP]
+	b, ok := t.flows[pkt.SrcIP]
 	if !ok {
-		b = &bucketState{tokens: t.Burst, last: now}
-		t.buckets[pkt.SrcIP] = b
+		b = sim.NewTokenBucket(t.rate, t.burst)
+		t.flows[pkt.SrcIP] = b
 	}
-	// Refill.
-	b.tokens += float64(now-b.last) / 1e9 * t.Rate
-	if b.tokens > t.Burst {
-		b.tokens = t.Burst
-	}
-	b.last = now
-	if b.tokens >= 1 {
-		b.tokens--
-		return now
-	}
-	// Wait until one token accumulates.
-	deficit := 1 - b.tokens
-	wait := sim.Time(deficit / t.Rate * 1e9)
-	b.tokens = 0
-	b.last = now + wait
-	return now + wait
+	return b.Admit(now)
 }
 
 // FairQueue approximates per-flow fair queuing (start-time fair queuing

@@ -41,8 +41,8 @@ func TestReplaceStripeMemberServesDirect(t *testing.T) {
 	if st.Reintegrated == 0 {
 		t.Fatal("replacement rewrite not counted")
 	}
-	if repl, ok := h.sw.ReplacedBy(h.ids[0]); !ok || repl != h.ids[1] {
-		t.Fatalf("ReplacedBy = %d,%v", repl, ok)
+	if r := h.sw.get(h.ids[0]); !r.replaced || r.replacedBy != h.ids[1] {
+		t.Fatalf("replacement alias = %d,%v", r.replacedBy, r.replaced)
 	}
 }
 
@@ -67,8 +67,7 @@ func TestReplaceStripeMemberClearsFailureState(t *testing.T) {
 	if h.sw.RemoteDead(h.ids[0]) {
 		t.Fatal("remote-dead mark survived re-integration")
 	}
-	group, _ := h.sw.StripeGroup(h.ids[1])
-	for _, id := range group {
+	for _, id := range h.sw.get(h.ids[1]).group {
 		if id == h.ids[0] {
 			t.Fatal("dead member still listed in the stripe table")
 		}

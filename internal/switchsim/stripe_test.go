@@ -34,7 +34,7 @@ func newECHarness(t testing.TB) *ecHarness {
 			ReplicaVSSD: next, ReplicaIP: h.hosts[(i+1)%len(h.ids)],
 		})
 	}
-	h.sw.RegisterStripe(h.ids)
+	h.sw.RegisterStripeMembers(h.ids, make([]int, len(h.ids))) // all in rack 0
 	h.eng.Run()
 	return h
 }

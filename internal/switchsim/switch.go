@@ -1,8 +1,10 @@
-// Package switchsim simulates the RackBlox ToR switch data plane: the
-// replica and destination tables of §3.3, the packet-processing workflow
-// of Algorithm 1 (read redirection, GC accept/delay, recirculation), INT
-// per-hop latency accounting, and the egress scheduling policies of §4.5.2
-// (token bucket, fair queuing, priority).
+// Package switchsim simulates the RackBlox ToR switch data plane: one
+// row per vSSD id holding the replica and destination tables of §3.3
+// (sharing the vSSD's single GC bit) together with the failover, stripe
+// and multi-rack state the control plane installs; the packet-processing
+// workflow of Algorithm 1 (read redirection, GC accept/delay,
+// recirculation), INT per-hop latency accounting, and the egress
+// scheduling policies of §4.5.2 (token bucket, fair queuing, priority).
 package switchsim
 
 import (
@@ -12,19 +14,47 @@ import (
 	"rackblox/internal/sim"
 )
 
-// replicaEntry is one row of the replica table (Fig. 5a): the GC status of
-// a vSSD and the id of its in-rack replica.
-type replicaEntry struct {
-	gc      bool
-	replica uint32
+// row is everything the switch knows about one vSSD id. Its replica
+// column (Fig. 5a) and destination column (Fig. 5b) are each present or
+// absent on their own: a pre-registered replica or failover target has
+// only a destination, and a remote stripe member or a failover-only id
+// has neither. The zero row is an id the switch knows nothing about.
+type row struct {
+	// gc is the vSSD's GC status, the bit both on-switch tables carry.
+	// It is only ever set while the replica column is present.
+	gc bool
+
+	hasReplica bool
+	replica    uint32 // the in-rack replica's vSSD id
+	hasDest    bool
+	ip         uint32 // the hosting server's IP
+
+	// failedOver marks a dead vSSD: reads AND writes are rewritten to
+	// survivor until the instance is re-replicated (§3.7).
+	failedOver bool
+	survivor   uint32
+
+	// group is an erasure-coded chunk holder's full stripe group (k data
+	// + m parity holders, then any local parities, in group order), one
+	// slice shared by every member's row so replacements edit it for
+	// all. Reads for a collecting or failed member are routed to a
+	// surviving member, which coordinates the degraded reconstruction.
+	group []uint32
+	// rack is the member's rack. A member whose rack differs from the
+	// switch's is never routed by IP from here — its GC state lives on
+	// its own ToR — it is reached only through a handoff. remoteDead
+	// marks such a member reported dead by the control plane.
+	rack       int
+	remoteDead bool
+	// replaced marks a repaired (formerly failed) stripe member:
+	// traffic addressed to it is rewritten to replacedBy, the holder now
+	// serving its chunks, and served directly rather than degraded.
+	replaced   bool
+	replacedBy uint32
 }
 
-// destEntry is one row of the destination table (Fig. 5b): the GC status
-// of a vSSD and the IP of the server hosting it.
-type destEntry struct {
-	gc bool
-	ip uint32
-}
+// absent is the row read for an id with no state; it is never written.
+var absent row
 
 // Forwarder delivers a packet leaving the switch toward pkt.DstIP. The
 // rack composition supplies it and charges the ToR->host hop latency.
@@ -77,31 +107,12 @@ func (s *Stats) Add(o Stats) {
 
 // Switch is the programmable ToR switch.
 type Switch struct {
-	eng     *sim.Engine
-	replica map[uint32]*replicaEntry
-	dest    map[uint32]*destEntry
-	// failover maps a dead vSSD id to its surviving replica: reads AND
-	// writes are rewritten until the instance is re-replicated (§3.7).
-	failover map[uint32]uint32
-	// stripe maps an erasure-coded chunk holder to its full stripe group
-	// (k data + m parity holders, in group order). Reads for a collecting
-	// or failed member are routed to a surviving member, which coordinates
-	// the degraded reconstruction itself.
-	stripe map[uint32][]uint32
-	// Multi-rack state: this ToR's rack id, the rack of every stripe
-	// member it knows about (its per-rack stripe table), members of other
-	// racks reported dead by the control plane, and the handoff path to
-	// sibling ToRs. A member whose rack differs from rackID is never
-	// routed by IP from here — its GC state lives on its own ToR — it is
-	// reached only through a handoff.
-	rackID     int
-	memberRack map[uint32]int
-	remoteDead map[uint32]bool
-	// replaced maps a repaired (formerly failed) stripe member to the
-	// replacement holder now serving its chunks: traffic addressed to
-	// the old id is rewritten and served directly, not degraded.
-	replaced map[uint32]uint32
-	handoff  Handoff
+	eng  *sim.Engine
+	rows map[uint32]*row
+	// rackID is this ToR's rack, and handoff the path to sibling ToRs
+	// (multi-rack clusters).
+	rackID  int
+	handoff Handoff
 	// down marks a failed ToR: it drops every packet until repaired.
 	down bool
 
@@ -159,13 +170,7 @@ func New(eng *sim.Engine, q Qdisc, fwd Forwarder) *Switch {
 	}
 	return &Switch{
 		eng:                eng,
-		replica:            make(map[uint32]*replicaEntry),
-		dest:               make(map[uint32]*destEntry),
-		failover:           make(map[uint32]uint32),
-		stripe:             make(map[uint32][]uint32),
-		memberRack:         make(map[uint32]int),
-		remoteDead:         make(map[uint32]bool),
-		replaced:           make(map[uint32]uint32),
+		rows:               make(map[uint32]*row),
 		qdisc:              q,
 		forward:            fwd,
 		pipelineLabel:      eng.Intern("switch.pipeline"),
@@ -205,51 +210,38 @@ func (s *Switch) SetDropRate(p float64, rng *sim.RNG) {
 // replica rows are 1B GC + 4B replica id, destination rows 1B GC + 4B IP,
 // both keyed by a 4-byte vSSD id (§3.3 sizes the maximum at 1.3 MB).
 func (s *Switch) TableSizeBytes() int {
-	return len(s.replica)*(4+1+4) + len(s.dest)*(4+1+4)
-}
-
-// Registered reports whether a vSSD has table state.
-func (s *Switch) Registered(vssd uint32) bool {
-	_, ok := s.replica[vssd]
-	return ok
-}
-
-// GCStatus exposes the replica-table GC bit (tests and the controller).
-func (s *Switch) GCStatus(vssd uint32) bool {
-	if e, ok := s.replica[vssd]; ok {
-		return e.gc
+	n := 0
+	for _, r := range s.rows {
+		if r.hasReplica {
+			n += 4 + 1 + 4
+		}
+		if r.hasDest {
+			n += 4 + 1 + 4
+		}
 	}
-	return false
+	return n
 }
 
-// ReplicaOf returns the registered replica id.
-func (s *Switch) ReplicaOf(vssd uint32) (uint32, bool) {
-	if e, ok := s.replica[vssd]; ok {
-		return e.replica, true
+// get returns id's row for reading (absent when the switch has none).
+func (s *Switch) get(id uint32) *row {
+	if r, ok := s.rows[id]; ok {
+		return r
 	}
-	return 0, false
+	return &absent
 }
 
-// DestIP returns the registered server IP for a vSSD.
-func (s *Switch) DestIP(vssd uint32) (uint32, bool) {
-	if e, ok := s.dest[vssd]; ok {
-		return e.ip, true
+// edit returns id's row for writing, creating it if needed.
+func (s *Switch) edit(id uint32) *row {
+	r, ok := s.rows[id]
+	if !ok {
+		r = &row{}
+		s.rows[id] = r
 	}
-	return 0, false
+	return r
 }
 
-// RegisterStripe records an erasure-coded stripe group (control plane,
-// like Failover): every member's reads become eligible for degraded
-// routing to the surviving members. Members must already be registered
-// in the destination table via create_vssd. All members are taken to be
-// local to this ToR's rack; multi-rack groups use RegisterStripeMembers.
-func (s *Switch) RegisterStripe(group []uint32) {
-	racks := make([]int, len(group))
-	for i := range racks {
-		racks[i] = s.rackID
-	}
-	s.RegisterStripeMembers(group, racks)
-}
+// GCStatus exposes a vSSD's GC bit (tests and the controller).
+func (s *Switch) GCStatus(vssd uint32) bool { return s.get(vssd).gc }
 
 // RegisterStripeMembers records a stripe group whose members span racks:
 // racks[i] is member i's rack. Local members route by IP; remote members
@@ -266,22 +258,27 @@ func (s *Switch) RegisterStripeMembers(group []uint32, racks []int) {
 	}
 	g := append([]uint32(nil), group...)
 	for i, id := range g {
-		s.stripe[id] = g
-		s.memberRack[id] = racks[i]
+		r := s.edit(id)
+		r.group = g
+		r.rack = racks[i]
 	}
 }
 
 // MarkRemoteDead records that a stripe member homed in another rack has
 // failed (control-plane propagation from its own ToR's failover), so
 // degraded reads stop handing off toward it.
-func (s *Switch) MarkRemoteDead(id uint32) { s.remoteDead[id] = true }
+func (s *Switch) MarkRemoteDead(id uint32) { s.edit(id).remoteDead = true }
 
 // ClearRemoteDead removes a remote-dead mark after the member became
 // reachable again (its ToR revived, or a replacement was registered).
-func (s *Switch) ClearRemoteDead(id uint32) { delete(s.remoteDead, id) }
+func (s *Switch) ClearRemoteDead(id uint32) {
+	if r, ok := s.rows[id]; ok {
+		r.remoteDead = false
+	}
+}
 
 // RemoteDead reports whether a member is currently marked dead-remote.
-func (s *Switch) RemoteDead(id uint32) bool { return s.remoteDead[id] }
+func (s *Switch) RemoteDead(id uint32) bool { return s.get(id).remoteDead }
 
 // ReplaceStripeMember re-registers a rebuilt chunk holder (control
 // plane): member old's chunks have been reconstructed onto replacement,
@@ -292,21 +289,17 @@ func (s *Switch) RemoteDead(id uint32) bool { return s.remoteDead[id] }
 // idempotent; it is a no-op when old has no stripe state here or the
 // replacement is not a registered member of the same group.
 func (s *Switch) ReplaceStripeMember(old, replacement uint32) {
-	group, ok := s.stripe[old]
-	if !ok || old == replacement {
+	r := s.get(old)
+	if r.group == nil || old == replacement || s.get(replacement).group == nil {
 		return
 	}
-	if _, ok := s.stripe[replacement]; !ok {
-		return
-	}
-	for i, id := range group {
+	for i, id := range r.group {
 		if id == old {
-			group[i] = replacement
+			r.group[i] = replacement
 		}
 	}
-	s.replaced[old] = replacement
-	delete(s.failover, old)
-	delete(s.remoteDead, old)
+	r.replaced, r.replacedBy = true, replacement
+	r.failedOver, r.remoteDead = false, false
 }
 
 // RestoreStripeMember re-registers a member under its own id after a
@@ -317,134 +310,101 @@ func (s *Switch) ReplaceStripeMember(old, replacement uint32) {
 // replacement chain in case the alias target was itself later repaired
 // elsewhere. A no-op for members with no stripe state here.
 func (s *Switch) RestoreStripeMember(id uint32) {
-	group, ok := s.stripe[id]
-	if !ok {
+	r := s.get(id)
+	if r.group == nil {
 		return
 	}
-	delete(s.failover, id)
-	delete(s.remoteDead, id)
-	cur, ok := s.replaced[id]
-	if !ok {
+	r.failedOver, r.remoteDead = false, false
+	if !r.replaced {
 		return
 	}
-	delete(s.replaced, id)
+	r.replaced = false
+	cur := r.replacedBy
 	for i := 0; i < 16; i++ {
-		nxt, ok2 := s.replaced[cur]
-		if !ok2 || nxt == cur {
+		next := s.get(cur)
+		if !next.replaced || next.replacedBy == cur {
 			break
 		}
-		cur = nxt
+		cur = next.replacedBy
 	}
-	for i, m := range group {
+	for i, m := range r.group {
 		if m == cur {
-			group[i] = id
+			r.group[i] = id
 			return
 		}
 	}
 }
 
-// ReplacedBy returns the replacement holder registered for a repaired
-// member, if any.
-func (s *Switch) ReplacedBy(id uint32) (uint32, bool) {
-	r, ok := s.replaced[id]
-	return r, ok
-}
-
-// applyReplaced rewrites a packet addressed to a repaired member toward
-// its registered replacement, chasing the chain that forms when a
-// replacement itself later fails and is repaired elsewhere, and reports
-// whether a rewrite happened. Chains are acyclic by construction — a
-// replaced member is dead and never adopts — but the hop bound keeps a
-// corrupted table from looping the pipeline.
-func (s *Switch) applyReplaced(pkt *packet.Packet) bool {
+// applyReplaced rewrites a packet addressed to a repaired member (r is
+// the row of its target) toward its registered replacement, chasing the
+// chain that forms when a replacement itself later fails and is repaired
+// elsewhere. It returns the row of the final target and whether a
+// rewrite happened. Chains are acyclic by construction — a replaced
+// member is dead and never adopts — but the hop bound keeps a corrupted
+// table from looping the pipeline.
+func (s *Switch) applyReplaced(pkt *packet.Packet, r *row) (*row, bool) {
 	moved := false
-	for i := 0; i < 16; i++ {
-		nw, ok := s.replaced[pkt.VSSD]
-		if !ok || nw == pkt.VSSD {
-			break
-		}
-		pkt.VSSD = nw
-		if de, ok2 := s.dest[nw]; ok2 {
-			pkt.DstIP = de.ip
+	for i := 0; i < 16 && r.replaced && r.replacedBy != pkt.VSSD; i++ {
+		pkt.VSSD = r.replacedBy
+		if r = s.get(pkt.VSSD); r.hasDest {
+			pkt.DstIP = r.ip
 		}
 		moved = true
 	}
 	if moved {
 		s.stats.Reintegrated++ // once per packet, however long the chain
 	}
-	return moved
+	return r, moved
 }
 
-// InstallVSSD installs a vSSD's replica and destination rows directly
-// (control plane), mirroring what a create_vssd packet would do. The
-// revival replay uses it to rebuild a ToR's tables from surviving state.
+// InstallVSSD installs a vSSD's replica and destination columns, as a
+// create_vssd packet does: the GC bit starts clear, and the replica's
+// destination is pre-registered so redirection works before the
+// replica's own create arrives. The revival replay calls it directly
+// (control plane) to rebuild a ToR's tables from surviving state.
 func (s *Switch) InstallVSSD(vssd, ip, replica, replicaIP uint32) {
-	s.replica[vssd] = &replicaEntry{replica: replica}
-	s.dest[vssd] = &destEntry{ip: ip}
-	if _, ok := s.dest[replica]; !ok {
-		s.dest[replica] = &destEntry{ip: replicaIP}
-	}
+	r := s.edit(vssd)
+	r.gc = false
+	r.hasReplica, r.replica = true, replica
+	r.hasDest, r.ip = true, ip
+	s.RegisterDest(replica, replicaIP)
 }
 
-// ResetTables models the SRAM loss of a power-cycled switch: every
-// table — replica, destination, failover, stripe, member-rack,
-// remote-dead, replacement — is cleared. A revived ToR starts from this
-// blank state and has its tables replayed by the control plane.
-func (s *Switch) ResetTables() {
-	s.replica = make(map[uint32]*replicaEntry)
-	s.dest = make(map[uint32]*destEntry)
-	s.failover = make(map[uint32]uint32)
-	s.stripe = make(map[uint32][]uint32)
-	s.memberRack = make(map[uint32]int)
-	s.remoteDead = make(map[uint32]bool)
-	s.replaced = make(map[uint32]uint32)
-}
+// ResetTables models the SRAM loss of a power-cycled switch: every row
+// is cleared. A revived ToR starts from this blank state and has its
+// tables replayed by the control plane.
+func (s *Switch) ResetTables() { s.rows = make(map[uint32]*row) }
 
-// RegisterDest installs a destination-table row directly (control
-// plane): the failover path uses it so a rewrite target living under
-// another ToR still resolves to an IP here.
+// RegisterDest installs a destination column directly (control plane)
+// unless one is present: the failover path uses it so a rewrite target
+// living under another ToR still resolves to an IP here.
 func (s *Switch) RegisterDest(vssd uint32, ip uint32) {
-	if _, ok := s.dest[vssd]; !ok {
-		s.dest[vssd] = &destEntry{ip: ip}
+	if r := s.edit(vssd); !r.hasDest {
+		r.hasDest, r.ip = true, ip
 	}
 }
 
-// StripeGroup returns the registered group of a chunk holder.
-func (s *Switch) StripeGroup(vssd uint32) ([]uint32, bool) {
-	g, ok := s.stripe[vssd]
-	return g, ok
+// healthy reports whether the chunk holder with row r can serve reads
+// here now: it must be homed under this ToR, registered, not failed
+// over, and not collecting garbage. Members of other racks are never
+// "healthy" here — their state lives on their own ToR and reads reach
+// them through a handoff instead.
+func (s *Switch) healthy(r *row) bool {
+	return r.rack == s.rackID && r.hasDest && !r.failedOver && !r.gc
 }
 
-// local reports whether a stripe member is homed under this ToR.
-func (s *Switch) local(id uint32) bool { return s.memberRack[id] == s.rackID }
-
-// chunkHealthy reports whether a local chunk holder can serve reads now:
-// it must be registered, not failed over, and not collecting garbage.
-// Members of other racks are never "healthy" here — their state lives on
-// their own ToR and reads reach them through a handoff instead.
-func (s *Switch) chunkHealthy(id uint32) bool {
-	if !s.local(id) {
-		return false
-	}
-	if _, dead := s.failover[id]; dead {
-		return false
-	}
-	de, ok := s.dest[id]
-	return ok && !de.gc
-}
-
-// routeECRead steers a read for an erasure-coded chunk holder, rack-local
-// first: healthy local targets keep their traffic; otherwise the read
-// goes to a surviving local group member (scan offset rotates with the
-// LPN so degraded traffic spreads over the group), which reconstructs
-// from any k chunks. Only when no local member can serve does the read
-// spill onto the spine: a handoff to the ToR of the next rack holding a
-// live member. If nothing is reachable the failover table gets the last
-// word. Returns false when the packet left via a handoff; the caller's
+// routeECRead steers a read for an erasure-coded chunk holder (r is its
+// row), rack-local first: healthy local targets keep their traffic;
+// otherwise the read goes to a surviving local group member (scan offset
+// rotates with the LPN so degraded traffic spreads over the group),
+// which reconstructs from any k chunks. Only when no local member can
+// serve does the read spill onto the spine: a handoff to the ToR of the
+// next rack holding a live member. If nothing is reachable the failover
+// entry gets the last word. Returns false when the packet left via a handoff; the caller's
 // dwell is charged here in that case, since the packet still crossed
 // this switch's pipeline and egress queue on its way out.
-func (s *Switch) routeECRead(pkt *packet.Packet, group []uint32, dwell sim.Time, reassigned bool) bool {
-	if s.chunkHealthy(pkt.VSSD) {
+func (s *Switch) routeECRead(pkt *packet.Packet, r *row, dwell sim.Time, reassigned bool) bool {
+	if s.healthy(r) {
 		return true
 	}
 	// The packet was just rewritten to a re-integrated replacement homed
@@ -454,41 +414,41 @@ func (s *Switch) routeECRead(pkt *packet.Packet, group []uint32, dwell sim.Time,
 	// reconstruction here. Only alias-rewritten packets take this path:
 	// an ordinary handoff arriving for a remote member must not bounce
 	// back toward the rack that could not serve it.
-	if reassigned && !s.local(pkt.VSSD) && !s.remoteDead[pkt.VSSD] &&
+	if reassigned && r.rack != s.rackID && !r.remoteDead &&
 		s.handoff != nil && pkt.Handoffs < maxHandoffs {
 		pkt.Handoffs++
 		s.stats.Handoffs++
 		pkt.AddLatency(dwell)
-		s.handoff(*pkt, s.memberRack[pkt.VSSD])
+		s.handoff(*pkt, r.rack)
 		return false
 	}
+	group := r.group
 	n := len(group)
 	start := int(pkt.LPN) % n
 	for i := 0; i < n; i++ {
 		id := group[(start+i)%n]
-		if id == pkt.VSSD || !s.chunkHealthy(id) {
-			continue
+		if m := s.get(id); id != pkt.VSSD && s.healthy(m) {
+			pkt.VSSD = id
+			pkt.DstIP = m.ip
+			s.stats.Redirected++
+			s.stats.DegradedRedirects++
+			return true
 		}
-		pkt.VSSD = id
-		pkt.DstIP = s.dest[id].ip
-		s.stats.Redirected++
-		s.stats.DegradedRedirects++
-		return true
 	}
 	if s.handoff != nil && pkt.Handoffs < maxHandoffs {
 		for i := 0; i < n; i++ {
-			id := group[(start+i)%n]
-			if s.local(id) || s.remoteDead[id] {
+			m := s.get(group[(start+i)%n])
+			if m.rack == s.rackID || m.remoteDead {
 				continue
 			}
 			pkt.Handoffs++
 			s.stats.Handoffs++
 			pkt.AddLatency(dwell)
-			s.handoff(*pkt, s.memberRack[id])
+			s.handoff(*pkt, m.rack)
 			return false
 		}
 	}
-	s.applyFailover(pkt)
+	s.applyFailover(pkt, r)
 	return true
 }
 
@@ -536,24 +496,27 @@ func (s *Switch) runPipeline(pkt packet.Packet, arrived, now sim.Time) {
 	}
 	switch pkt.Op {
 	case packet.OpCreateVSSD:
-		s.handleCreate(pkt)
+		s.InstallVSSD(pkt.VSSD, pkt.SrcIP, pkt.ReplicaVSSD, pkt.ReplicaIP)
 		return // control-plane insert; no data-plane forward
 	case packet.OpDelVSSD:
-		delete(s.replica, pkt.VSSD)
-		delete(s.dest, pkt.VSSD)
+		// Only the vSSD's own columns go; failover and stripe state
+		// stay until the control plane clears them.
+		if r, ok := s.rows[pkt.VSSD]; ok {
+			r.gc, r.hasReplica, r.hasDest = false, false, false
+		}
 		return
 	case packet.OpWrite:
 		// Writes are never redirected (Algorithm 1 line 2-3) — unless
 		// their target was repaired elsewhere or failed, in which case
 		// the replacement (or surviving replica) is the only copy left
 		// to apply them.
-		s.applyReplaced(&pkt)
-		s.applyFailover(&pkt)
+		r, _ := s.applyReplaced(&pkt, s.get(pkt.VSSD))
+		s.applyFailover(&pkt, r)
 		pkt.AddLatency(dwell)
 		s.emit(pkt)
 	case packet.OpRead:
-		reassigned := s.applyReplaced(&pkt)
-		s.handleRead(pkt, dwell, reassigned)
+		r, reassigned := s.applyReplaced(&pkt, s.get(pkt.VSSD))
+		s.handleRead(pkt, r, dwell, reassigned)
 	case packet.OpGC:
 		s.handleGC(pkt, dwell)
 	case packet.OpResponse:
@@ -564,35 +527,23 @@ func (s *Switch) runPipeline(pkt packet.Packet, arrived, now sim.Time) {
 	}
 }
 
-func (s *Switch) handleCreate(pkt packet.Packet) {
-	// Register the vSSD and pre-register its replica's destination so
-	// redirection works before the replica's own create arrives.
-	s.replica[pkt.VSSD] = &replicaEntry{replica: pkt.ReplicaVSSD}
-	s.dest[pkt.VSSD] = &destEntry{ip: pkt.SrcIP}
-	if _, ok := s.dest[pkt.ReplicaVSSD]; !ok {
-		s.dest[pkt.ReplicaVSSD] = &destEntry{ip: pkt.ReplicaIP}
-	}
-}
-
 // handleRead implements Algorithm 1 lines 4-9: redirect a read away from a
 // collecting vSSD when its replica is idle. Erasure-coded chunk holders
 // take the stripe-routing path instead: their "replica" is the whole
-// surviving group. reassigned marks a packet the replacement table just
-// rewrote (see applyReplaced).
-func (s *Switch) handleRead(pkt packet.Packet, dwell sim.Time, reassigned bool) {
-	if group, ok := s.stripe[pkt.VSSD]; ok {
-		if s.routeECRead(&pkt, group, dwell, reassigned) {
+// surviving group. reassigned marks a packet its replacement alias just
+// rewrote (see applyReplaced), and r is the row of its target.
+func (s *Switch) handleRead(pkt packet.Packet, r *row, dwell sim.Time, reassigned bool) {
+	if r.group != nil {
+		if s.routeECRead(&pkt, r, dwell, reassigned) {
 			pkt.AddLatency(dwell)
 			s.emit(pkt)
 		}
 		return
 	}
-	s.applyFailover(&pkt)
-	re, ok := s.replica[pkt.VSSD]
-	if ok && re.gc {
-		if de, ok2 := s.dest[re.replica]; ok2 && !de.gc {
-			pkt.DstIP = de.ip
-			pkt.VSSD = re.replica
+	if r = s.applyFailover(&pkt, r); r.gc {
+		if rep := s.get(r.replica); rep.hasDest && !rep.gc {
+			pkt.DstIP = rep.ip
+			pkt.VSSD = r.replica
 			s.stats.Redirected++
 		}
 		// If both the vSSD and its replica are collecting, forward as is.
@@ -603,13 +554,11 @@ func (s *Switch) handleRead(pkt packet.Packet, dwell sim.Time, reassigned bool) 
 
 // handleGC implements Algorithm 1 lines 10-25.
 func (s *Switch) handleGC(pkt packet.Packet, dwell sim.Time) {
-	re, ok := s.replica[pkt.VSSD]
-	if !ok {
+	r := s.get(pkt.VSSD)
+	if !r.hasReplica {
 		s.stats.Dropped++
 		return
 	}
-	de := s.dest[pkt.VSSD]
-	re.gc = true
 	switch pkt.GC {
 	case packet.GCSoft:
 		// Soft requests read the replica's state and update their own:
@@ -618,7 +567,7 @@ func (s *Switch) handleGC(pkt packet.Packet, dwell sim.Time) {
 		s.stats.Recirculations++
 		dwell += s.RecirculateLatency
 		replicaBusy := false
-		if group, ecOK := s.stripe[pkt.VSSD]; ecOK {
+		if r.group != nil {
 			// Rack-aware staggering: a chunk holder may soft-collect only
 			// while no other member of its stripe group does, so degraded
 			// reads always find k survivors. Failed-over members are
@@ -627,46 +576,32 @@ func (s *Switch) handleGC(pkt packet.Packet, dwell sim.Time) {
 			// Only local members are consulted: a remote member's GC bit
 			// lives on its own ToR (the per-rack stripe table's blind
 			// spot, one cost of the multi-rack design point).
-			for _, id := range group {
-				if id == pkt.VSSD || !s.local(id) {
-					continue
-				}
-				if _, dead := s.failover[id]; dead {
-					continue
-				}
-				if rd, ok2 := s.dest[id]; ok2 && rd.gc {
+			for _, id := range r.group {
+				m := s.get(id)
+				if id != pkt.VSSD && m.rack == s.rackID && !m.failedOver && m.gc {
 					replicaBusy = true
 					break
 				}
 			}
-		} else if rd, ok2 := s.dest[re.replica]; ok2 && rd.gc {
-			replicaBusy = true
+		} else {
+			replicaBusy = s.get(r.replica).gc
 		}
+		// The bit is written after the replica's is read, so a vSSD
+		// registered as its own replica sees its state before this op.
+		r.gc = !replicaBusy
 		if replicaBusy {
 			pkt.GC = packet.GCDelay
-			re.gc = false
-			if de != nil {
-				de.gc = false // recirculated update keeps both tables consistent
-			}
 			s.stats.GCDelayed++
 		} else {
 			pkt.GC = packet.GCAccept
-			if de != nil {
-				de.gc = true
-			}
 			s.stats.GCAccepted++
 		}
 	case packet.GCFinish:
-		re.gc = false
-		if de != nil {
-			de.gc = false
-		}
+		r.gc = false
 		s.stats.GCFinished++
 		return // finish needs no reply
 	default: // regular and background: never denied
-		if de != nil {
-			de.gc = true
-		}
+		r.gc = true
 		pkt.GC = packet.GCAccept
 		s.stats.GCAccepted++
 	}
@@ -685,33 +620,38 @@ func (s *Switch) handleGC(pkt packet.Packet, dwell sim.Time) {
 // "On server failure, RackBlox replicates the replicas to other servers
 // and updates their switches").
 func (s *Switch) Failover(vssd, survivor uint32) {
-	s.failover[vssd] = survivor
-	// Clear both tables' GC bits: the dead vSSD will never send the
-	// gc_op finish that would otherwise release them.
-	if e, ok := s.replica[vssd]; ok {
-		e.gc = false
-	}
-	if d, ok := s.dest[vssd]; ok {
-		d.gc = false
-	}
+	r := s.edit(vssd)
+	r.failedOver, r.survivor = true, survivor
+	// Clear the GC bit: the dead vSSD will never send the gc_op finish
+	// that would otherwise release it.
+	r.gc = false
 }
 
 // FailoverCleared removes a failover entry after recovery.
-func (s *Switch) FailoverCleared(vssd uint32) { delete(s.failover, vssd) }
-
-func (s *Switch) applyFailover(pkt *packet.Packet) {
-	if survivor, ok := s.failover[pkt.VSSD]; ok {
-		if de, ok2 := s.dest[survivor]; ok2 {
-			pkt.VSSD = survivor
-			pkt.DstIP = de.ip
-			s.stats.FailedOver++
-			// A stale entry may name a survivor that has since been
-			// repaired onto a replacement; resolve the rewrite through
-			// the replacement table so traffic never targets a member
-			// that no longer serves.
-			s.applyReplaced(pkt)
-		}
+func (s *Switch) FailoverCleared(vssd uint32) {
+	if r, ok := s.rows[vssd]; ok {
+		r.failedOver = false
 	}
+}
+
+// applyFailover rewrites a packet for a failed-over vSSD (r is the row
+// of its target) to the survivor and returns the row of the final target.
+func (s *Switch) applyFailover(pkt *packet.Packet, r *row) *row {
+	if !r.failedOver {
+		return r
+	}
+	to := s.get(r.survivor)
+	if !to.hasDest {
+		return r
+	}
+	pkt.VSSD = r.survivor
+	pkt.DstIP = to.ip
+	s.stats.FailedOver++
+	// A stale entry may name a survivor that has since been repaired
+	// onto a replacement; resolve the rewrite through the replacement
+	// alias so traffic never targets a member that no longer serves.
+	to, _ = s.applyReplaced(pkt, to)
+	return to
 }
 
 func (s *Switch) emit(pkt packet.Packet) {

@@ -48,14 +48,15 @@ func (h *harness) send(p packet.Packet) []packet.Packet {
 
 func TestCreateRegistersTables(t *testing.T) {
 	h := newHarness(t, nil)
-	if !h.sw.Registered(vssdA) || !h.sw.Registered(vssdB) {
+	a, b := h.sw.get(vssdA), h.sw.get(vssdB)
+	if !a.hasReplica || !b.hasReplica {
 		t.Fatal("vSSDs not registered")
 	}
-	if r, _ := h.sw.ReplicaOf(vssdA); r != vssdB {
-		t.Fatalf("replica of A = %d, want %d", r, vssdB)
+	if a.replica != vssdB {
+		t.Fatalf("replica of A = %d, want %d", a.replica, vssdB)
 	}
-	if ip, _ := h.sw.DestIP(vssdB); ip != serverB {
-		t.Fatalf("dest of B = %x, want %x", ip, serverB)
+	if !b.hasDest || b.ip != serverB {
+		t.Fatalf("dest of B = %x, want %x", b.ip, serverB)
 	}
 	if h.sw.TableSizeBytes() == 0 {
 		t.Fatal("table size accounting empty")
@@ -65,10 +66,10 @@ func TestCreateRegistersTables(t *testing.T) {
 func TestDeleteRemovesTables(t *testing.T) {
 	h := newHarness(t, nil)
 	h.send(packet.Packet{Op: packet.OpDelVSSD, VSSD: vssdA})
-	if h.sw.Registered(vssdA) {
+	if h.sw.get(vssdA).hasReplica {
 		t.Fatal("vSSD A still registered after del_vssd")
 	}
-	if h.sw.Registered(vssdB) == false {
+	if !h.sw.get(vssdB).hasReplica {
 		t.Fatal("del_vssd removed the wrong entry")
 	}
 }
@@ -225,37 +226,32 @@ func TestDropRateInjection(t *testing.T) {
 }
 
 func TestGCStatusConsistencyProperty(t *testing.T) {
-	// Property: after any gc_op sequence, the replica-table and
-	// destination-table GC bits for a vSSD agree (the recirculation
-	// consistency requirement of §3.5.1).
+	// Property: after every gc_op in any sequence over the A/B replica
+	// pair, GCStatus matches a reference model of Algorithm 1 lines
+	// 10-25 — regular and background gc_ops set the sender's bit, finish
+	// clears it, and soft sets it only while the replica is idle
+	// (clearing it otherwise).
+	fields := [...]packet.GCField{packet.GCSoft, packet.GCRegular, packet.GCBackground, packet.GCFinish}
 	f := func(ops []uint8) bool {
-		h := &harness{eng: sim.NewEngine()}
-		h.sw = New(h.eng, nil, func(p packet.Packet) {})
-		h.sw.Process(packet.Packet{Op: packet.OpCreateVSSD, VSSD: vssdA, SrcIP: serverA, ReplicaVSSD: vssdB, ReplicaIP: serverB})
-		h.sw.Process(packet.Packet{Op: packet.OpCreateVSSD, VSSD: vssdB, SrcIP: serverB, ReplicaVSSD: vssdA, ReplicaIP: serverA})
+		h := newHarness(t, nil)
+		model := map[uint32]bool{}
+		peer := map[uint32]uint32{vssdA: vssdB, vssdB: vssdA}
 		for _, op := range ops {
 			vssd := vssdA
 			if op&1 == 1 {
 				vssd = vssdB
 			}
-			var g packet.GCField
-			switch (op >> 1) % 4 {
-			case 0:
-				g = packet.GCSoft
-			case 1:
-				g = packet.GCRegular
-			case 2:
-				g = packet.GCBackground
-			case 3:
-				g = packet.GCFinish
+			g := fields[(op>>1)%4]
+			setGC(h, vssd, g)
+			switch g {
+			case packet.GCRegular, packet.GCBackground:
+				model[vssd] = true
+			case packet.GCFinish:
+				model[vssd] = false
+			case packet.GCSoft:
+				model[vssd] = !model[peer[vssd]]
 			}
-			h.sw.Process(packet.Packet{Op: packet.OpGC, VSSD: vssd, GC: g, SrcIP: serverA})
-		}
-		h.eng.Run()
-		for _, v := range []uint32{vssdA, vssdB} {
-			re := h.sw.replica[v]
-			de := h.sw.dest[v]
-			if re.gc != de.gc {
+			if h.sw.GCStatus(vssdA) != model[vssdA] || h.sw.GCStatus(vssdB) != model[vssdB] {
 				return false
 			}
 		}
@@ -263,6 +259,51 @@ func TestGCStatusConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRowLifecycle pins which state each control-plane removal clears:
+// del_vssd drops only a vSSD's replica and destination columns (its GC
+// bit with them) and leaves failover and stripe state; ResetTables
+// drops everything; and TableSizeBytes counts only replica and
+// destination columns, never ids known only as remote stripe members,
+// failover entries or remote-dead marks.
+func TestRowLifecycle(t *testing.T) {
+	h := newECHarness(t)
+	dead, survivor := h.ids[2], h.ids[3]
+	h.send(packet.Packet{Op: packet.OpGC, GC: packet.GCRegular, VSSD: dead, SrcIP: h.hosts[2]})
+	h.sw.Failover(dead, survivor)
+	h.send(packet.Packet{Op: packet.OpDelVSSD, VSSD: dead})
+	if r := h.sw.get(dead); r.hasReplica || r.hasDest || r.gc {
+		t.Fatalf("del_vssd left replica/destination state: %+v", *r)
+	}
+	out := h.send(packet.Packet{Op: packet.OpWrite, VSSD: dead, DstIP: h.hosts[2]})
+	if len(out) != 1 || out[0].VSSD != survivor || out[0].DstIP != h.hosts[3] {
+		t.Fatalf("write after del_vssd lost its failover rewrite: %+v", out)
+	}
+	out = h.send(packet.Packet{Op: packet.OpRead, VSSD: dead, DstIP: h.hosts[2], LPN: 1})
+	if len(out) != 1 || h.sw.Stats().DegradedRedirects != 1 {
+		t.Fatalf("read after del_vssd lost its stripe routing: %+v", out)
+	}
+
+	// Only columns count: 4 members with both columns, less the deleted one.
+	if got, want := h.sw.TableSizeBytes(), 3*2*9; got != want {
+		t.Fatalf("TableSizeBytes = %d, want %d", got, want)
+	}
+	h.sw.RegisterStripeMembers([]uint32{h.ids[0], 900, 901}, []int{0, 1, 1})
+	h.sw.Failover(902, h.ids[0])
+	h.sw.MarkRemoteDead(903)
+	if got, want := h.sw.TableSizeBytes(), 3*2*9; got != want {
+		t.Fatalf("TableSizeBytes = %d after remote, failover-only and remote-dead ids, want %d", got, want)
+	}
+
+	h.sw.ResetTables()
+	if len(h.sw.rows) != 0 || h.sw.TableSizeBytes() != 0 {
+		t.Fatalf("ResetTables left %d rows", len(h.sw.rows))
+	}
+	out = h.send(packet.Packet{Op: packet.OpWrite, VSSD: dead, DstIP: h.hosts[2]})
+	if len(out) != 1 || out[0].VSSD != dead || out[0].DstIP != h.hosts[2] {
+		t.Fatalf("write after ResetTables still rewritten: %+v", out)
 	}
 }
 

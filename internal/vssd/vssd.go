@@ -42,8 +42,9 @@ type VSSD struct {
 	Iso Isolation
 	FTL *ssd.FTL
 
-	// limiter rate-limits software-isolated instances; nil for hardware.
-	limiter *TokenBucket
+	// limiter rate-limits software-isolated instances; nil for hardware
+	// ones and for software ones built without an IOPS limit.
+	limiter *sim.TokenBucket
 	// group is the channel group of a software-isolated vSSD, nil for
 	// hardware-isolated ones.
 	group *ChannelGroup
@@ -73,7 +74,8 @@ func NewHardwareIsolated(dev *ssd.Device, id uint32, channels []int, utilization
 }
 
 // NewSoftwareIsolated builds a vSSD over individual chips, throttled to
-// iopsLimit operations per second (token-bucket software isolation).
+// iopsLimit operations per second with a tenth of a second's burst
+// (token-bucket software isolation); iopsLimit <= 0 disables throttling.
 func NewSoftwareIsolated(dev *ssd.Device, id uint32, chips []ssd.ChipRef, utilization float64, iopsLimit float64) (*VSSD, error) {
 	if len(chips) == 0 {
 		return nil, errors.New("vssd: software-isolated vSSD needs chips")
@@ -82,10 +84,11 @@ func NewSoftwareIsolated(dev *ssd.Device, id uint32, chips []ssd.ChipRef, utiliz
 	if err != nil {
 		return nil, err
 	}
-	return &VSSD{
-		ID: id, Iso: Software, FTL: ftl,
-		limiter: NewTokenBucket(iopsLimit, iopsLimit/10+1),
-	}, nil
+	v := &VSSD{ID: id, Iso: Software, FTL: ftl}
+	if iopsLimit > 0 {
+		v.limiter = sim.NewTokenBucket(iopsLimit, iopsLimit/10+1)
+	}
+	return v, nil
 }
 
 // Channels returns the flash channels the vSSD's chips live on (the
@@ -93,7 +96,7 @@ func NewSoftwareIsolated(dev *ssd.Device, id uint32, chips []ssd.ChipRef, utiliz
 func (v *VSSD) Channels() []int { return v.FTL.Channels() }
 
 // Admit applies software-isolation rate limiting: it returns the time at
-// which the request may be dispatched. Hardware-isolated vSSDs admit
+// which the request may be dispatched. Unthrottled vSSDs admit
 // immediately.
 func (v *VSSD) Admit(now sim.Time) sim.Time {
 	if v.limiter == nil {
@@ -131,43 +134,6 @@ func (v *VSSD) FinishGC() { v.inGC = false; v.gcEndsAt = 0 }
 
 // Group returns the channel group, nil for hardware-isolated vSSDs.
 func (v *VSSD) Group() *ChannelGroup { return v.group }
-
-// TokenBucket rate-limits operations per second with a burst allowance.
-// Unlike the switch qdisc (per-flow), this bucket guards one vSSD.
-type TokenBucket struct {
-	rate   float64
-	burst  float64
-	tokens float64
-	last   sim.Time
-}
-
-// NewTokenBucket builds a limiter; rate <= 0 disables limiting.
-func NewTokenBucket(rate, burst float64) *TokenBucket {
-	if burst < 1 {
-		burst = 1
-	}
-	return &TokenBucket{rate: rate, burst: burst, tokens: burst}
-}
-
-// Admit returns the earliest time a request arriving at now may proceed.
-func (t *TokenBucket) Admit(now sim.Time) sim.Time {
-	if t.rate <= 0 {
-		return now
-	}
-	t.tokens += float64(now-t.last) / 1e9 * t.rate
-	if t.tokens > t.burst {
-		t.tokens = t.burst
-	}
-	t.last = now
-	if t.tokens >= 1 {
-		t.tokens--
-		return now
-	}
-	wait := sim.Time((1 - t.tokens) / t.rate * 1e9)
-	t.tokens = 0
-	t.last = now + wait
-	return now + wait
-}
 
 // ChannelGroup is a set of software-isolated vSSDs spanning the same
 // channels (§3.5.2). All members perform GC together; members short on

@@ -113,21 +113,32 @@ func TestGCStateTracking(t *testing.T) {
 }
 
 func TestTokenBucketDisabled(t *testing.T) {
-	tb := NewTokenBucket(0, 10)
-	if tb.Admit(55) != 55 {
-		t.Fatal("disabled bucket delayed")
+	d := testDev(t)
+	v, err := NewSoftwareIsolated(d, 2, d.ChannelChips(0)[:1], 0.8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if v.Admit(55) != 55 {
+			t.Fatal("vSSD without an IOPS limit delayed")
+		}
 	}
 }
 
 func TestTokenBucketRate(t *testing.T) {
-	tb := NewTokenBucket(1000, 1)
-	r1 := tb.Admit(0)
-	r2 := tb.Admit(0)
-	if r1 != 0 {
-		t.Fatal("first request delayed")
+	d := testDev(t)
+	v, err := NewSoftwareIsolated(d, 2, d.ChannelChips(0)[:1], 0.8, 1000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r2 != sim.Millisecond {
-		t.Fatalf("second release = %d, want 1ms", r2)
+	// 1000 IOPS bursts a tenth of a second's worth plus one: 101 requests.
+	for i := 0; i < 101; i++ {
+		if rel := v.Admit(0); rel != 0 {
+			t.Fatalf("request %d of the burst delayed to %d", i, rel)
+		}
+	}
+	if rel := v.Admit(0); rel != sim.Millisecond {
+		t.Fatalf("first request past the burst released at %d, want 1ms", rel)
 	}
 }
 
