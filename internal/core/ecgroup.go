@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"rackblox/internal/ec"
 	"rackblox/internal/packet"
 	"rackblox/internal/sched"
@@ -39,7 +41,11 @@ type ecGroup struct {
 	striper ec.Striper
 	// insts holds the k+m global chunk holders in placement order,
 	// followed (LRC only) by the local parity holders in rack order.
-	insts    []*instance
+	insts []*instance
+	// tors lists the ToRs serving the group, one per rack it occupies,
+	// in member order: the ToRs holding its stripe table, and the ones
+	// every group-wide control-plane update reaches.
+	tors     []*switchsim.Switch
 	gen      workload.Generator
 	inflight int
 
@@ -93,16 +99,6 @@ func (g *ecGroup) holderIndex(id uint32) (int, bool) {
 	return 0, false
 }
 
-// memberIndex resolves a member instance to its group-local index.
-func (g *ecGroup) memberIndex(inst *instance) (int, bool) {
-	for i, m := range g.insts {
-		if m == inst {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // hasLocalParity reports the LRC family: members past the global k+m
 // are per-rack local parity holders.
 func (g *ecGroup) hasLocalParity() bool { return len(g.insts) > g.spec.Width() }
@@ -132,12 +128,15 @@ func (g *ecGroup) reintegrated() bool {
 // the switch-rewritten read is served like any healthy read instead of a
 // k-fetch reconstruction.
 func (g *ecGroup) servesDirect(inst *instance, homeID uint32) bool {
-	for i, m := range g.insts {
-		if m.id == homeID {
-			return g.replacement[i] == inst
-		}
-	}
-	return false
+	i, ok := g.holderIndex(homeID)
+	return ok && g.replacement[i] == inst
+}
+
+// source reports whether member i can serve its chunk as a
+// reconstruction source: its server is reachable and it has no rebuild
+// outstanding (a revived-but-catching-up member is blank).
+func (g *ecGroup) source(i int) bool {
+	return g.insts[i].server.reachable() && !g.repairing[i]
 }
 
 // buildGroups creates the erasure-coded volumes: for each group, k+m
@@ -188,19 +187,18 @@ func (r *Rack) buildGroups() error {
 		// per-rack stripe table for degraded routing and handoff.
 		for i, inst := range g.insts {
 			next := g.sameRackNeighbor(i)
-			r.torOf(inst.server).Process(packet.Packet{
+			tor := r.torOf(inst.server)
+			tor.Process(packet.Packet{
 				Op: packet.OpCreateVSSD, VSSD: inst.id, SrcIP: inst.server.ip,
 				ReplicaVSSD: next.id, ReplicaIP: next.server.ip,
 			})
+			if !slices.Contains(g.tors, tor) {
+				g.tors = append(g.tors, tor)
+			}
 		}
 		ids, racks := g.memberTable()
-		seenRack := make(map[int]bool)
-		for _, inst := range g.insts {
-			if seenRack[inst.server.rackIdx] {
-				continue
-			}
-			seenRack[inst.server.rackIdx] = true
-			r.torOf(inst.server).RegisterStripeMembers(ids, racks)
+		for _, tor := range g.tors {
+			tor.RegisterStripeMembers(ids, racks)
 		}
 
 		perChunk := int(float64(g.insts[0].v.FTL.LogicalPages()) * cfg.KeyspaceFrac)
@@ -301,7 +299,7 @@ func (g *ecGroup) adopter(holder int) *instance {
 func (g *ecGroup) readSources(coord *instance, now sim.Time) []*instance {
 	width := g.spec.Width()
 	out := g.readBuf[:0]
-	if ci, ok := g.memberIndex(coord); ok && ci < width {
+	if ci, ok := g.holderIndex(coord.id); ok && ci < width {
 		out = append(out, coord)
 	}
 	// One pass per class keeps each class in member order: idle
@@ -309,7 +307,7 @@ func (g *ecGroup) readSources(coord *instance, now sim.Time) []*instance {
 	const local, remote, busy = 0, 1, 2
 	for class := local; class <= busy; class++ {
 		for i, m := range g.insts[:width] {
-			if m == coord || !m.server.reachable() || g.repairing[i] {
+			if m == coord || !g.source(i) {
 				continue
 			}
 			c := local
@@ -328,11 +326,33 @@ func (g *ecGroup) readSources(coord *instance, now sim.Time) []*instance {
 	return out
 }
 
+// localPlan collects the zero-spine LRC plan for rebuilding member
+// lost's chunk: the XOR of every other member of its rack (global chunks
+// plus the local parity), led by first when non-nil (a degraded read's
+// coordinator). It appends to buf[:0] and reports whether every one of
+// those members is a source; the caller keeps the returned slice as its
+// scratch either way.
+func (g *ecGroup) localPlan(buf []*instance, lost int, first *instance) ([]*instance, bool) {
+	out := buf[:0]
+	if first != nil {
+		out = append(out, first)
+	}
+	rack := g.insts[lost].server.rackIdx
+	for j, m := range g.insts {
+		if m.server.rackIdx != rack || m == first || j == lost {
+			continue
+		}
+		if !g.source(j) {
+			return out, false
+		}
+		out = append(out, m)
+	}
+	return out, true
+}
+
 // degradedSources picks the reconstruction plan for a degraded read at
 // coordinator coord: under the LRC family, when the home holder's rack
-// contains the coordinator and every other rack member (global chunks
-// plus the local parity) is healthy, the lost chunk is the XOR of
-// exactly those rack-local chunks — the zero-spine plan, needing no
+// contains the coordinator, the rack-local XOR plan (localPlan) needs no
 // cross-rack fetch at all. Otherwise it falls back to the global RS
 // decode from any k global survivors (readSources order). It returns
 // the sources, how many are needed, and whether the rack-local plan was
@@ -341,19 +361,7 @@ func (g *ecGroup) degradedSources(coord *instance, homeID uint32, now sim.Time) 
 	if g.hasLocalParity() {
 		if hIdx, ok := g.holderIndex(homeID); ok &&
 			g.insts[hIdx] != coord && g.insts[hIdx].server.rackIdx == coord.server.rackIdx {
-			rack := coord.server.rackIdx
-			local := append(g.readBuf[:0], coord)
-			complete := true
-			for j, m := range g.insts {
-				if m.server.rackIdx != rack || m == coord || j == hIdx {
-					continue
-				}
-				if !m.server.reachable() || g.repairing[j] {
-					complete = false
-					break
-				}
-				local = append(local, m)
-			}
+			local, complete := g.localPlan(g.readBuf, hIdx, coord)
 			g.readBuf = local
 			if complete {
 				return local, len(local), true
@@ -365,9 +373,7 @@ func (g *ecGroup) degradedSources(coord *instance, homeID uint32, now sim.Time) 
 
 // repairSources picks the survivor set for rebuilding one lost holder
 // onto adopter. Under the LRC family, when the adopter sits in the lost
-// holder's own rack and every other member of that rack (global chunks
-// plus the local parity) is healthy, the lost chunk is the XOR of
-// exactly those rack-local chunks — the zero-spine local plan; the
+// holder's own rack, the rack-local XOR plan (localPlan) applies; the
 // returned bool reports it. Otherwise the global plan applies: the
 // adopter's own chunk first (unless it is the blank rebuild target),
 // then rack-local global survivors, then remote ones, k in total —
@@ -375,19 +381,7 @@ func (g *ecGroup) degradedSources(coord *instance, homeID uint32, now sim.Time) 
 // repairBuf scratch, valid until the next repairSources call.
 func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, bool) {
 	if g.hasLocalParity() && adopter.server.rackIdx == g.insts[holder].server.rackIdx {
-		rack := adopter.server.rackIdx
-		local := g.repairBuf[:0]
-		complete := true
-		for j, m := range g.insts {
-			if m.server.rackIdx != rack || j == holder {
-				continue
-			}
-			if !m.server.reachable() || g.repairing[j] {
-				complete = false
-				break
-			}
-			local = append(local, m)
-		}
+		local, complete := g.localPlan(g.repairBuf, holder, nil)
 		g.repairBuf = local
 		if complete {
 			return local, true
@@ -395,7 +389,7 @@ func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, boo
 	}
 	width := g.spec.Width()
 	sources := g.repairBuf[:0]
-	if ai, ok := g.memberIndex(adopter); ok && ai < width && adopter != g.insts[holder] {
+	if ai, ok := g.holderIndex(adopter.id); ok && ai < width && adopter != g.insts[holder] {
 		sources = append(sources, adopter)
 	}
 	for pass := 0; pass < 2; pass++ {
@@ -403,8 +397,7 @@ func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, boo
 			if len(sources) == g.spec.K {
 				break
 			}
-			if m == adopter || m == g.insts[holder] ||
-				!m.server.reachable() || g.repairing[j] {
+			if m == adopter || j == holder || !g.source(j) {
 				continue
 			}
 			local := m.server.rackIdx == adopter.server.rackIdx
@@ -494,8 +487,8 @@ func (r *Rack) sendECPacket(st *reqState, inst *instance, op packet.Op) {
 	}
 	tor := r.torOf(inst.server)
 	if r.torDetected[inst.server.rackIdx] {
-		for _, m := range st.group.insts {
-			if alt := r.torOf(m.server); !alt.Down() {
+		for _, alt := range st.group.tors {
+			if !alt.Down() {
 				tor = alt
 				break
 			}
@@ -819,31 +812,17 @@ func (r *Rack) reintegrate(g *ecGroup, holder int) {
 	// on), the stale registrations must not land.
 	gen := g.recon.Gen(holder)
 	fresh := func() bool { return g.recon.Gen(holder) == gen }
-	hop := r.net.HopLatency(r.eng.Now())
-	var last sim.Time
-	seen := make(map[*switchsim.Switch]bool)
-	for _, m := range g.insts {
-		tor := r.torOf(m.server)
-		if seen[tor] {
-			continue
+	last := r.control("ec.reintegrate", adopter.server.rackIdx, g.tors, func(tor *switchsim.Switch) {
+		if !fresh() {
+			return
 		}
-		seen[tor] = true
-		delay := hop + r.spine.Latency(adopter.server.rackIdx, tor.RackID())
-		if delay > last {
-			last = delay
+		tor.RegisterDest(newID, adopter.server.ip)
+		if restored {
+			tor.RestoreStripeMember(oldID)
+		} else {
+			tor.ReplaceStripeMember(oldID, newID)
 		}
-		r.eng.AfterNamed(delay, "ec.reintegrate", func(sim.Time) {
-			if tor.Down() || !fresh() {
-				return // a dark ToR misses the update; revival replays it
-			}
-			tor.RegisterDest(newID, adopter.server.ip)
-			if restored {
-				tor.RestoreStripeMember(oldID)
-			} else {
-				tor.ReplaceStripeMember(oldID, newID)
-			}
-		})
-	}
+	})
 	// The holder counts as re-integrated once the slowest ToR has the
 	// replacement installed; reads issued after this instant are served
 	// directly everywhere.

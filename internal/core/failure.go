@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"rackblox/internal/sim"
 	"rackblox/internal/switchsim"
 	"rackblox/internal/trace"
@@ -11,6 +13,12 @@ import (
 // replicas and updates the switch tables. This file implements the
 // heartbeat detector, the failover transition, and client request
 // timeouts so open requests to a dead server do not leak.
+//
+// Every switch-table update of the failure path travels one way,
+// through control: one sampled edge hop per update, plus the spine
+// crossing to each ToR outside the sending rack, lost by a ToR that is
+// dark when it lands (revival replays that ToR's tables instead, in
+// replayToR, which is modeled as instantaneous).
 
 // HeartbeatInterval is the simulated server heartbeat period.
 const HeartbeatInterval = 10 * sim.Millisecond
@@ -102,7 +110,7 @@ func (r *Rack) onServerDetectedDead(dead *server) {
 			}
 			// The survivor's Hermes node stops waiting for the dead peer.
 			survivor.repl.RemovePeer(inst.repl.ID())
-			r.installFailover(inst, survivor)
+			r.installFailover(inst, survivor, nil)
 		}
 	}
 	// Erasure-coded groups: every chunk holder on the dead server fails
@@ -121,7 +129,7 @@ func (r *Rack) onServerDetectedDead(dead *server) {
 			if adopter == nil {
 				continue // whole group lost
 			}
-			r.installFailover(inst, adopter)
+			r.installFailover(inst, adopter, nil)
 			r.propagateMemberDead(g, inst)
 			g.crashed[i] = true
 			if g.replacement[i] == inst {
@@ -167,39 +175,43 @@ func (r *Rack) enqueueHolderRepair(g *ecGroup, holder int, adopter *instance) {
 	r.scheduleRepair(g)
 }
 
-// installFailover rewrites a dead instance's traffic to its survivor in
-// the switch tables (control-plane update). The entry lands on the dead
-// member's own ToR and — when the survivor lives under a different, live
-// ToR — on the survivor's too, so rerouted client traffic entering there
-// resolves as well.
-func (r *Rack) installFailover(deadInst, survivor *instance) {
-	tors := []*switchsim.Switch{r.torOf(deadInst.server)}
-	if alt := r.torOf(survivor.server); alt != tors[0] {
-		tors = append(tors, alt)
-	}
-	r.installFailoverOn(tors, deadInst, survivor)
-}
-
-// installFailoverOn delivers the RegisterDest+Failover control-plane
-// update to each listed ToR: one edge hop, plus the spine crossing for
-// ToRs in other racks than the dead member's — the same distance every
-// other cross-rack control message pays. ToRs that are down when the
-// update arrives miss it, like any packet to a dark switch.
-func (r *Rack) installFailoverOn(tors []*switchsim.Switch, deadInst, survivor *instance) {
+// control delivers one control-plane update, labeled label, from
+// fromRack to each listed ToR and returns the slowest delivery delay.
+// The update pays one edge hop, drawn once however many ToRs it reaches
+// (even none), plus the spine crossing to ToRs in other racks; a ToR
+// that is down when it lands misses it, like any packet to a dark
+// switch.
+func (r *Rack) control(label string, fromRack int, tors []*switchsim.Switch, apply func(*switchsim.Switch)) sim.Time {
 	hop := r.net.HopLatency(r.eng.Now())
-	deadID, survivorID := deadInst.id, survivor.id
-	survivorIP := survivor.server.ip
+	var last sim.Time
 	for _, tor := range tors {
-		tor := tor
-		delay := hop + r.spine.Latency(deadInst.server.rackIdx, tor.RackID())
-		r.eng.AfterNamed(delay, "failover.install", func(sim.Time) {
-			if tor.Down() {
-				return
+		delay := hop + r.spine.Latency(fromRack, tor.RackID())
+		last = max(last, delay)
+		r.eng.AfterNamed(delay, label, func(sim.Time) {
+			if !tor.Down() {
+				apply(tor)
 			}
-			tor.RegisterDest(survivorID, survivorIP)
-			tor.Failover(deadID, survivorID)
 		})
 	}
+	return last
+}
+
+// installFailover rewrites a dead instance's traffic to its survivor in
+// the switch tables of tors. nil tors means the dead member's own ToR
+// and — when the survivor lives under a different ToR — the survivor's
+// too, so rerouted client traffic entering there resolves as well.
+func (r *Rack) installFailover(deadInst, survivor *instance, tors []*switchsim.Switch) {
+	if tors == nil {
+		tors = []*switchsim.Switch{r.torOf(deadInst.server)}
+		if alt := r.torOf(survivor.server); alt != tors[0] {
+			tors = append(tors, alt)
+		}
+	}
+	deadID, survivorID, survivorIP := deadInst.id, survivor.id, survivor.server.ip
+	r.control("failover.install", deadInst.server.rackIdx, tors, func(tor *switchsim.Switch) {
+		tor.RegisterDest(survivorID, survivorIP)
+		tor.Failover(deadID, survivorID)
+	})
 	if r.controller != nil {
 		r.controller.inGC[deadID] = false
 	}
@@ -209,18 +221,11 @@ func (r *Rack) installFailoverOn(tors []*switchsim.Switch, deadInst, survivor *i
 // that a member is gone (inter-switch control plane), so their handoffs
 // steer around it.
 func (r *Rack) propagateMemberDead(g *ecGroup, deadInst *instance) {
-	home := r.torOf(deadInst.server)
-	hop := r.net.HopLatency(r.eng.Now()) + r.spine.Propagation()
-	deadID := deadInst.id
-	seen := map[*switchsim.Switch]bool{home: true}
-	for _, m := range g.insts {
-		tor := r.torOf(m.server)
-		if seen[tor] {
-			continue
-		}
-		seen[tor] = true
-		r.eng.AfterNamed(hop, "failover.member_dead", func(sim.Time) { tor.MarkRemoteDead(deadID) })
-	}
+	home, deadID := r.torOf(deadInst.server), deadInst.id
+	others := slices.DeleteFunc(slices.Clone(g.tors), func(tor *switchsim.Switch) bool { return tor == home })
+	r.control("failover.member_dead", deadInst.server.rackIdx, others, func(tor *switchsim.Switch) {
+		tor.MarkRemoteDead(deadID)
+	})
 }
 
 // onToRDetectedDead reacts to a ToR (whole-switch) failure: the rack's
@@ -248,39 +253,23 @@ func (r *Rack) onToRDetectedDead(rackIdx int) {
 				continue
 			}
 			survivor.repl.RemovePeer(inst.repl.ID())
-			r.installFailover(inst, survivor)
+			r.installFailover(inst, survivor, nil)
 		}
 	}
+	// Erasure-coded members fail over on every ToR serving the group, so
+	// client traffic entering through any surviving rack resolves the
+	// rewrite.
 	for _, g := range r.groups {
 		for i, inst := range g.insts {
 			if inst.server.rackIdx != rackIdx {
 				continue
 			}
-			adopter := g.adopter(i)
-			if adopter == nil {
-				continue
+			if adopter := g.adopter(i); adopter != nil {
+				r.installFailover(inst, adopter, g.tors)
+				r.propagateMemberDead(g, inst)
 			}
-			r.installFailoverOnGroup(g, inst, adopter)
-			r.propagateMemberDead(g, inst)
 		}
 	}
-}
-
-// installFailoverOnGroup installs a dead member's failover entry on
-// every ToR serving the group, so client traffic entering through any
-// surviving rack resolves the rewrite.
-func (r *Rack) installFailoverOnGroup(g *ecGroup, deadInst, adopter *instance) {
-	var tors []*switchsim.Switch
-	seen := make(map[*switchsim.Switch]bool)
-	for _, m := range g.insts {
-		tor := r.torOf(m.server)
-		if seen[tor] {
-			continue
-		}
-		seen[tor] = true
-		tors = append(tors, tor)
-	}
-	r.installFailoverOn(tors, deadInst, adopter)
 }
 
 // replayToR rebuilds a revived ToR's blank tables from surviving
@@ -294,48 +283,43 @@ func (r *Rack) installFailoverOnGroup(g *ecGroup, deadInst, adopter *instance) {
 func (r *Rack) replayToR(rackIdx int) {
 	tor := r.tors[rackIdx]
 
-	// Re-register every instance homed in the revived rack, mirroring
-	// the rows the original create_vssd installed: pairs point at their
-	// Hermes peer, group members at their same-rack neighbor (the hint
-	// buildGroups registers so non-stripe paths never leak remote IPs
-	// into the wrong destination table).
+	// Re-register every pair instance homed in the revived rack as its
+	// create_vssd did, pointing at its Hermes peer; one whose server
+	// crashed (not merely darkened) keeps routing to its survivor.
 	for _, pr := range r.pairs {
 		for _, inst := range []*instance{pr.primary, pr.replica} {
 			if inst.server.rackIdx != rackIdx {
 				continue
 			}
+			peer := r.insts[inst.replicaID]
 			repIP := inst.server.ip
-			if rep := r.insts[inst.replicaID]; rep != nil {
-				repIP = rep.server.ip
+			if peer != nil {
+				repIP = peer.server.ip
 			}
 			tor.InstallVSSD(inst.id, inst.server.ip, inst.replicaID, repIP)
-		}
-	}
-	for _, g := range r.groups {
-		for i, inst := range g.insts {
-			if inst.server.rackIdx != rackIdx {
-				continue
+			if !inst.server.reachable() && peer != nil && peer.server.reachable() {
+				tor.RegisterDest(peer.id, peer.server.ip)
+				tor.Failover(inst.id, peer.id)
 			}
-			next := g.sameRackNeighbor(i)
-			tor.InstallVSSD(inst.id, inst.server.ip, next.id, next.server.ip)
 		}
 	}
 
-	// Replay the per-rack stripe tables of every group touching this
-	// rack, then overlay the failure-era state that survives revival:
-	// repaired holders point at their replacements, still-dead local
-	// members get failover entries, still-dead remote members get
-	// remote-dead marks.
+	// Every group this ToR serves: re-register its locally homed members
+	// at their same-rack neighbor (the hint buildGroups registers so
+	// non-stripe paths never leak remote IPs into the wrong destination
+	// table), replay the stripe table, then overlay the failure-era state
+	// that survives revival: repaired holders point at their
+	// replacements, still-dead local members get failover entries,
+	// still-dead remote members get remote-dead marks.
 	for _, g := range r.groups {
-		touches := false
-		for _, m := range g.insts {
-			if m.server.rackIdx == rackIdx {
-				touches = true
-				break
-			}
-		}
-		if !touches {
+		if !slices.Contains(g.tors, tor) {
 			continue
+		}
+		for i, inst := range g.insts {
+			if inst.server.rackIdx == rackIdx {
+				next := g.sameRackNeighbor(i)
+				tor.InstallVSSD(inst.id, inst.server.ip, next.id, next.server.ip)
+			}
 		}
 		ids, racks := g.memberTable()
 		tor.RegisterStripeMembers(ids, racks)
@@ -355,20 +339,6 @@ func (r *Rack) replayToR(rackIdx int) {
 				}
 			} else {
 				tor.MarkRemoteDead(m.id)
-			}
-		}
-	}
-
-	// Replicated pairs: a locally-homed member whose server crashed (not
-	// merely darkened) keeps routing to its survivor.
-	for _, pr := range r.pairs {
-		for _, inst := range []*instance{pr.primary, pr.replica} {
-			if inst.server.rackIdx != rackIdx || inst.server.reachable() {
-				continue
-			}
-			if surv := r.insts[inst.replicaID]; surv != nil && surv.server.reachable() {
-				tor.RegisterDest(surv.id, surv.server.ip)
-				tor.Failover(inst.id, surv.id)
 			}
 		}
 	}
@@ -424,7 +394,7 @@ func (r *Rack) onServerRevived(srv *server) {
 				// toward the (now dead) partner.
 				inst.repl.RemovePeer(peer.repl.ID())
 				r.clearPairFailover(inst)
-				r.installFailover(peer, inst)
+				r.installFailover(peer, inst, nil)
 			}
 		}
 	}
@@ -442,21 +412,12 @@ func (r *Rack) onServerRevived(srv *server) {
 }
 
 // clearPairFailover withdraws a revived pair member's failover rewrite
-// on every live ToR (control-plane update: one edge hop, plus the spine
-// crossing for other racks), so its traffic is served directly again.
+// on every ToR, so its traffic is served directly again.
 func (r *Rack) clearPairFailover(inst *instance) {
-	hop := r.net.HopLatency(r.eng.Now())
 	id := inst.id
-	for j, tor := range r.tors {
-		tor := tor
-		delay := hop + r.spine.Latency(inst.server.rackIdx, j)
-		r.eng.AfterNamed(delay, "failover.clear", func(sim.Time) {
-			if tor.Down() {
-				return
-			}
-			tor.FailoverCleared(id)
-		})
-	}
+	r.control("failover.clear", inst.server.rackIdx, r.tors, func(tor *switchsim.Switch) {
+		tor.FailoverCleared(id)
+	})
 }
 
 // watchTimeout arms the client-side loss detector for one request.
