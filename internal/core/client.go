@@ -23,10 +23,7 @@ func (r *Rack) startClients() {
 		if r.cfg.SoftwareIsolated {
 			for j, inst := range []*instance{pr.primary, pr.replica} {
 				rng := r.rng.Fork(int64(400 + 2*i + j))
-				keys := uint64(float64(inst.peer.FTL.LogicalPages()) * r.cfg.KeyspaceFrac)
-				if keys < 64 {
-					keys = 64
-				}
+				keys := uint64(r.keyspace(inst.peer.FTL, minKeys))
 				pl := &peerLoad{r: r, inst: inst, z: sim.NewZipf(rng, 0.99, keys), rng: rng}
 				r.eng.AfterHandler(rng.Exp(r.cfg.Workload.MeanGap), r.lbl.peerLoad, pl)
 			}

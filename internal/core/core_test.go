@@ -7,6 +7,7 @@ import (
 	"rackblox/internal/netsim"
 	"rackblox/internal/sched"
 	"rackblox/internal/sim"
+	"rackblox/internal/workload"
 )
 
 // shortConfig returns a config sized for unit-test speed: still long
@@ -118,6 +119,40 @@ func TestPreconditionLeavesTargetFreeRatio(t *testing.T) {
 	}
 	if r.Keyspace() <= 0 {
 		t.Fatal("keyspace not positive")
+	}
+}
+
+// TestKeyspaceReportsWhatGeneratorsDraw pins Keyspace to the key space
+// the volume generators actually draw from, floors included: a tiny
+// KeyspaceFrac leaves a few pages per FTL, which the 64-key volume
+// floor lifts for pairs and for an erasure-coded group's k-chunk total.
+func TestKeyspaceReportsWhatGeneratorsDraw(t *testing.T) {
+	ec := shortConfig(RackBlox)
+	ec.StorageServers = 6
+	ec.Redundancy = ErasureCode(4, 2)
+	for name, cfg := range map[string]Config{"replication": shortConfig(RackBlox), "rs(4,2)": ec} {
+		cfg.KeyspaceFrac = 0.005
+		r, err := NewRack(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Keyspace(); got != minKeys {
+			t.Errorf("%s: Keyspace() = %d, want the %d-key floor", name, got, minKeys)
+		}
+		var gen workload.Generator
+		if len(r.groups) > 0 {
+			gen = r.groups[0].gen
+		} else {
+			gen = r.pairs[0].gen
+		}
+		top := uint32(0)
+		for i := 0; i < 20000; i++ {
+			top = max(top, gen.Next().LPN)
+		}
+		if int(top) >= r.Keyspace() || int(top) < r.Keyspace()/2 {
+			t.Errorf("%s: generator's largest LPN %d, want inside [%d, %d)",
+				name, top, r.Keyspace()/2, r.Keyspace())
+		}
 	}
 }
 

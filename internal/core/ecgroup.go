@@ -201,12 +201,9 @@ func (r *Rack) buildGroups() error {
 			tor.RegisterStripeMembers(ids, racks)
 		}
 
-		perChunk := int(float64(g.insts[0].v.FTL.LogicalPages()) * cfg.KeyspaceFrac)
-		if perChunk < 1 {
-			perChunk = 1
-		}
-		g.usedStripes = perChunk
-		g.gen = r.makeGenerator(gidx, uint64(perChunk)*uint64(spec.K))
+		// Each chunk holder's key space is the group's stripe count.
+		g.usedStripes = r.keyspace(g.insts[0].v.FTL, 1)
+		g.gen = r.makeGenerator(gidx, g.usedStripes*spec.K)
 		r.groups = append(r.groups, g)
 		if r.controller != nil {
 			r.controller.registerGroup(g)

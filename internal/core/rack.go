@@ -381,7 +381,7 @@ func (r *Rack) buildPairs() error {
 		rep.repl = replication.NewNode(1, peers, r.hermesTransport(pri, rep))
 
 		pr := &pair{rack: r, idx: p, primary: pri, replica: rep}
-		pr.gen = r.newGenerator(p, pri)
+		pr.gen = r.makeGenerator(p, r.keyspace(pri.v.FTL, minKeys))
 		r.pairs = append(r.pairs, pr)
 
 		// Register both instances in their racks' ToR tables (create_vssd).
@@ -510,25 +510,26 @@ func (r *Rack) deliverHermes(dst *instance, msg replication.Message) {
 	dst.repl.Handle(msg)
 }
 
-// newGenerator builds the pair's workload generator sized to the primary's
-// preconditioned key space.
-func (r *Rack) newGenerator(p int, pri *instance) workload.Generator {
-	keys := uint64(float64(pri.v.FTL.LogicalPages()) * r.cfg.KeyspaceFrac)
-	return r.makeGenerator(p, keys)
+// minKeys is the smallest key space a volume, a collocated tenant or a
+// preconditioning pass draws from.
+const minKeys = 64
+
+// keyspace is the one key-space rule: KeyspaceFrac of an FTL's logical
+// pages, but at least floor.
+func (r *Rack) keyspace(ftl *ssd.FTL, floor int) int {
+	return max(int(float64(ftl.LogicalPages())*r.cfg.KeyspaceFrac), floor)
 }
 
 // makeGenerator builds one volume's workload generator over keys logical
-// pages.
-func (r *Rack) makeGenerator(volume int, keys uint64) workload.Generator {
+// pages, at least minKeys.
+func (r *Rack) makeGenerator(volume int, keys int) workload.Generator {
 	cfg := r.cfg
-	if keys < 64 {
-		keys = 64
-	}
+	n := uint64(max(keys, minKeys))
 	rng := r.rng.Fork(int64(200 + volume))
 	if cfg.Workload.Name == "" || cfg.Workload.Name == "YCSB" {
-		return workload.NewYCSB(rng, keys, cfg.Workload.WriteFrac, cfg.Workload.MeanGap)
+		return workload.NewYCSB(rng, n, cfg.Workload.WriteFrac, cfg.Workload.MeanGap)
 	}
-	gen, err := workload.ByName(cfg.Workload.Name, rng, keys, cfg.Workload.MeanGap)
+	gen, err := workload.ByName(cfg.Workload.Name, rng, n, cfg.Workload.MeanGap)
 	if err != nil {
 		panic(err) // Validate accepted the config; ByName must agree
 	}
@@ -558,10 +559,7 @@ func (r *Rack) precondition() {
 			ftls = append(ftls, inst.peer.FTL)
 		}
 		for _, ftl := range ftls {
-			keys := int(float64(ftl.LogicalPages()) * r.cfg.KeyspaceFrac)
-			if keys < 64 {
-				keys = 64
-			}
+			keys := r.keyspace(ftl, minKeys)
 			for lpn := 0; lpn < keys; lpn++ {
 				if _, err := ftl.Write(lpn); err != nil {
 					ftl.CollectOnce()
@@ -583,15 +581,14 @@ func (r *Rack) precondition() {
 	}
 }
 
-// Keyspace returns the per-volume logical key count the workload touches.
+// Keyspace returns the per-volume logical key count the workload draws
+// from.
 func (r *Rack) Keyspace() int {
 	if len(r.groups) > 0 {
 		g := r.groups[0]
-		perChunk := int(float64(g.insts[0].v.FTL.LogicalPages()) * r.cfg.KeyspaceFrac)
-		return perChunk * g.spec.K
+		return max(g.usedStripes*g.spec.K, minKeys)
 	}
-	ftl := r.pairs[0].primary.v.FTL
-	return int(float64(ftl.LogicalPages()) * r.cfg.KeyspaceFrac)
+	return r.keyspace(r.pairs[0].primary.v.FTL, minKeys)
 }
 
 // torOf returns the ToR switch serving a server's rack.
