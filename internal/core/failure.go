@@ -275,17 +275,19 @@ func (r *Rack) onToRDetectedDead(rackIdx int) {
 // replayToR rebuilds a revived ToR's blank tables from surviving
 // cluster state — vSSD registrations, stripe members with any repaired
 // replacements, and failover/remote-dead marks for members that are
-// still dead — and clears the remote-dead and failover entries sibling
-// ToRs hold for the revived rack's now-reachable members (the
-// control-plane half of reviveToR). The replay is modeled as
-// instantaneous: the controller streams the table image before
-// re-enabling the data plane.
+// still dead — re-pairs the Hermes replicas the outage isolated, and
+// clears the remote-dead and failover entries sibling ToRs hold for the
+// revived rack's now-reachable members (the control-plane half of
+// reviveToR). The replay is modeled as instantaneous: the controller
+// streams the table image before re-enabling the data plane.
 func (r *Rack) replayToR(rackIdx int) {
 	tor := r.tors[rackIdx]
 
 	// Re-register every pair instance homed in the revived rack as its
-	// create_vssd did, pointing at its Hermes peer; one whose server
-	// crashed (not merely darkened) keeps routing to its survivor.
+	// create_vssd did, pointing at its Hermes peer. One whose server
+	// crashed (not merely darkened) keeps routing to its survivor; one
+	// that is reachable again re-pairs with its peer, which dropped it
+	// from the write quorum when the outage was detected.
 	for _, pr := range r.pairs {
 		for _, inst := range []*instance{pr.primary, pr.replica} {
 			if inst.server.rackIdx != rackIdx {
@@ -297,7 +299,13 @@ func (r *Rack) replayToR(rackIdx int) {
 				repIP = peer.server.ip
 			}
 			tor.InstallVSSD(inst.id, inst.server.ip, inst.replicaID, repIP)
-			if !inst.server.reachable() && peer != nil && peer.server.reachable() {
+			if peer == nil || !peer.server.reachable() {
+				continue
+			}
+			if inst.server.reachable() {
+				peer.repl.AddPeer(inst.repl.ID())
+				inst.repl.AddPeer(peer.repl.ID())
+			} else {
 				tor.RegisterDest(peer.id, peer.server.ip)
 				tor.Failover(inst.id, peer.id)
 			}

@@ -428,6 +428,38 @@ func TestReplicationRevivalRepairs(t *testing.T) {
 	}
 }
 
+// TestToRRevivalRepairsHermesPairs is the ToR half of
+// TestReplicationRevivalRepairs: a detected ToR outage makes each
+// cross-rack pair's survivor drop its isolated peer (RemovePeer), so
+// the revival must re-admit it, or the survivor's writes commit alone
+// for the rest of the run. Pair 1 (servers 2 and 3) spans the racks;
+// after the revival every pair whose two servers are reachable must
+// have both members in its Hermes group.
+func TestToRRevivalRepairsHermesPairs(t *testing.T) {
+	cfg := replicated2x3(400*sim.Millisecond,
+		FailToR(1, 100*sim.Millisecond), ReviveToR(1, 300*sim.Millisecond))
+	r, err := NewRack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := r.Run()
+	if res.Failovers == 0 || res.ToRRevivals != 1 {
+		t.Fatalf("failovers=%d revivals=%d: the outage was not detected and healed",
+			res.Failovers, res.ToRRevivals)
+	}
+	for _, pr := range r.pairs {
+		if !pr.primary.server.reachable() || !pr.replica.server.reachable() {
+			continue
+		}
+		for _, inst := range []*instance{pr.primary, pr.replica} {
+			if got := inst.repl.Peers(); len(got) != 2 {
+				t.Errorf("pair %d: vSSD %d ends with Hermes peers %v, want both members",
+					pr.idx, inst.id, got)
+			}
+		}
+	}
+}
+
 // TestHermesGroupChangeIsDeterministic is the regression for Hermes
 // settling in-flight writes in map order. When a replica dies, its
 // partner's RemovePeer commits every write still waiting for the dead
