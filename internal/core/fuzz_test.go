@@ -111,3 +111,59 @@ func FuzzScenarioValidate(f *testing.F) {
 		}
 	})
 }
+
+// FuzzScenarioRun runs every timeline Validate accepts on the smallest
+// multi-rack cluster — two racks of three servers, a short run — and
+// asserts the run completes without a panic or an error and that the
+// spine never delivers more than was offered, for foreground and repair
+// bytes alike. The first byte picks the redundancy: Hermes
+// replication, RS(2,2) or LRC(2,2), both spread across the racks; every
+// following 4-byte record is one fuzzEvent. This drives the failure
+// control plane — failover install, member-dead marks, re-integration,
+// ToR replay and Hermes re-pairing — through orderings no hand-written
+// test lists.
+func FuzzScenarioRun(f *testing.F) {
+	f.Add([]byte{0})                                                       // replication, healthy
+	f.Add([]byte{0, 2, 1, 0, 100, 4, 1, 3, 232})                           // replication: tor 1 dark 10-100 ms
+	f.Add([]byte{0, 0, 2, 0, 100, 0, 3, 1, 44, 3, 2, 3, 232})              // replication: both of pair 1 crash, one returns
+	f.Add([]byte{1, 0, 0, 0, 100, 3, 0, 3, 32})                            // RS: crash, catch-up revival
+	f.Add([]byte{1, 1, 1, 0, 100})                                         // RS: rack crash
+	f.Add([]byte{1, 0, 0, 0, 100, 2, 0, 1, 44, 0, 3, 1, 144, 4, 0, 3, 32}) // RS: crash, tor dark, crash, tor back
+	f.Add([]byte{2, 0, 0, 0, 100, 3, 0, 2, 88, 0, 0, 3, 32})               // LRC: crash, revive, crash again
+	f.Add([]byte{2, 2, 0, 0, 100, 0, 4, 0, 200, 4, 0, 3, 32})              // LRC: tor dark, remote crash, tor back
+	f.Add([]byte{2, 0, 1, 0, 100, 1, 1, 3, 32})                            // LRC: a rack-0 crash, then rack 1
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		cfg := DefaultConfig()
+		cfg.Racks, cfg.StorageServers = 2, 3
+		cfg.Warmup = 20 * sim.Millisecond
+		cfg.Duration = 150 * sim.Millisecond
+		switch data[0] % 3 {
+		case 1:
+			cfg.Redundancy, cfg.Placement = ErasureCode(2, 2), PlacementSpread
+		case 2:
+			cfg.Redundancy, cfg.Placement = LocalParityCode(2, 2), PlacementSpread
+		}
+		for i := 1; i+4 <= len(data); i += 4 {
+			cfg.Scenario = append(cfg.Scenario, fuzzEvent(data[i:i+4]))
+		}
+		if cfg.Validate() != nil {
+			return
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("Run(%v, %v): %v", cfg.Redundancy, cfg.Scenario, err)
+		}
+		if res.ForegroundCrossRackBytes > res.ForegroundCrossRackBytesOffered {
+			t.Errorf("spine delivered %d foreground bytes of %d offered",
+				res.ForegroundCrossRackBytes, res.ForegroundCrossRackBytesOffered)
+		}
+		if res.CrossRackRepairBytes > res.CrossRackRepairBytesOffered {
+			t.Errorf("spine delivered %d repair bytes of %d offered",
+				res.CrossRackRepairBytes, res.CrossRackRepairBytesOffered)
+		}
+	})
+}
