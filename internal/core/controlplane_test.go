@@ -6,8 +6,8 @@ import (
 	"rackblox/internal/sim"
 )
 
-// cpCase is one control-plane timeline: a config, an optional probe run
-// on the live rack at probeAt, and a check of the finished run.
+// cpCase is one control-plane timeline: a config, a probe run on the
+// live rack at probeAt, and a check of the finished run.
 type cpCase struct {
 	name    string
 	cfg     func() Config
@@ -22,13 +22,11 @@ func (tc cpCase) run(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probed := tc.probe == nil
-	if tc.probe != nil {
-		r.eng.At(tc.probeAt, func(sim.Time) {
-			probed = true
-			tc.probe(t, r)
-		})
-	}
+	probed := false
+	r.eng.At(tc.probeAt, func(sim.Time) {
+		probed = true
+		tc.probe(t, r)
+	})
 	res := r.Run()
 	if !probed {
 		t.Fatal("probe never ran")

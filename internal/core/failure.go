@@ -202,9 +202,10 @@ func (r *Rack) control(label string, fromRack int, tors []*switchsim.Switch, app
 // too, so rerouted client traffic entering there resolves as well.
 func (r *Rack) installFailover(deadInst, survivor *instance, tors []*switchsim.Switch) {
 	if tors == nil {
-		tors = []*switchsim.Switch{r.torOf(deadInst.server)}
-		if alt := r.torOf(survivor.server); alt != tors[0] {
-			tors = append(tors, alt)
+		home, alt := r.torOf(deadInst.server), r.torOf(survivor.server)
+		tors = []*switchsim.Switch{home, alt}
+		if alt == home {
+			tors = tors[:1]
 		}
 	}
 	deadID, survivorID, survivorIP := deadInst.id, survivor.id, survivor.server.ip
@@ -222,7 +223,8 @@ func (r *Rack) installFailover(deadInst, survivor *instance, tors []*switchsim.S
 // steer around it.
 func (r *Rack) propagateMemberDead(g *ecGroup, deadInst *instance) {
 	home, deadID := r.torOf(deadInst.server), deadInst.id
-	others := slices.DeleteFunc(slices.Clone(g.tors), func(tor *switchsim.Switch) bool { return tor == home })
+	var buf [8]*switchsim.Switch // stays on the stack for up to 8 racks
+	others := slices.DeleteFunc(append(buf[:0], g.tors...), func(tor *switchsim.Switch) bool { return tor == home })
 	r.control("failover.member_dead", deadInst.server.rackIdx, others, func(tor *switchsim.Switch) {
 		tor.MarkRemoteDead(deadID)
 	})
