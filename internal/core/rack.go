@@ -522,7 +522,7 @@ func (r *Rack) keyspace(ftl *ssd.FTL, floor int) int {
 
 // makeGenerator builds one volume's workload generator over keys logical
 // pages, at least minKeys.
-func (r *Rack) makeGenerator(volume int, keys int) workload.Generator {
+func (r *Rack) makeGenerator(volume, keys int) workload.Generator {
 	cfg := r.cfg
 	n := uint64(max(keys, minKeys))
 	rng := r.rng.Fork(int64(200 + volume))
