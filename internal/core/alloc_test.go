@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"rackblox/internal/flash"
+	"rackblox/internal/packet"
 	"rackblox/internal/sim"
+	"rackblox/internal/ssd"
 	"rackblox/internal/workload"
 )
 
@@ -110,6 +112,78 @@ func TestECSteadyStateAllocs(t *testing.T) {
 			if avg > datapathAllocBudget {
 				t.Errorf("steady-state EC %s allocates %.0f objects, want <= %d (everything is recycled)",
 					tc.name, avg, datapathAllocBudget)
+			}
+		})
+	}
+}
+
+// TestGCBurstAllocs is the GC path's allocation gate. On a warm rack it
+// drives whole GC bursts of one instance — host writes that leave
+// reclaimable blocks, startGCBurst's collection and channel
+// reservations, and the pooled gc.burst_end event that closes the
+// episode, tells the ToR and re-pumps the server — and asserts they
+// allocate nothing, both for a hardware-isolated vSSD collecting its own
+// FTL and for a software-isolated one collecting with its channel group.
+func TestGCBurstAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		software bool
+	}{
+		{"ftl", false},
+		{"group", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.SoftwareIsolated = tc.software
+			cfg.Duration = 100 * sim.Millisecond
+			r, err := NewRack(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Run() // warm
+			inst := r.pairs[0].primary
+			if (inst.group != nil) != tc.software {
+				t.Fatalf("instance group = %v, want software isolation %v", inst.group, tc.software)
+			}
+			ftls := []*ssd.FTL{inst.v.FTL}
+			if inst.group != nil {
+				ftls = ftls[:0]
+				for _, m := range inst.group.Members {
+					ftls = append(ftls, m.FTL)
+				}
+			}
+			var lpn int
+			one := func() {
+				// A few overwrites per burst keep victims available
+				// without draining the free blocks the bursts restore.
+				for _, f := range ftls {
+					for i := 0; i < 8; i++ {
+						lpn = (lpn + 7919) % f.LogicalPages()
+						if _, err := f.Write(lpn); err != nil {
+							panic(err)
+						}
+					}
+				}
+				inst.lastGCType = packet.GCRegular // one burst per episode
+				r.startGCBurst(inst, 1)
+				r.eng.Run()
+			}
+			for i := 0; i < 200; i++ {
+				one()
+			}
+			const runs = 200
+			before := inst.gcEvents
+			avg := testing.AllocsPerRun(runs, one)
+			// AllocsPerRun makes one extra warm-up call.
+			if got := inst.gcEvents - before; got != runs+1 {
+				t.Fatalf("%d GC bursts ran, want %d", got, runs+1)
+			}
+			if inst.v.InGC(r.eng.Now()) {
+				t.Fatal("burst still open after its end event")
+			}
+			t.Logf("%.0f allocations per warm GC burst", avg)
+			if avg > 0 {
+				t.Errorf("a warm GC burst allocates %.0f objects, want 0", avg)
 			}
 		})
 	}

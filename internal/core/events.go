@@ -20,7 +20,8 @@ import (
 // Fixed-state events are the object itself (a *pair is its own
 // next-issue event, (*pumpEvent)(inst) an instance's pump,
 // (*repairPumpEvent)(g) a group's repair pump); events carrying a
-// packet, a request or a repair task come from the Rack's free lists.
+// packet, a request, a repair task or a GC burst's target come from the
+// Rack's free lists.
 // Every list is a sim.FreeList owned by the one engine: it grows a slab
 // at a time to the number of objects in flight and recycles LIFO, so
 // reuse is deterministic. Each Fire copies its fields out and recycles
@@ -45,6 +46,7 @@ type labels struct {
 	staleRetry, cacheInsert sim.Label
 	gcMonitor, gcOp         sim.Label
 	gcOpTimeout, gcNotify   sim.Label
+	gcBurstEnd              sim.Label
 	chunkRead, chunkBack    sim.Label
 	decode                  sim.Label
 	repairPump, repairDone  sim.Label
@@ -73,6 +75,7 @@ func internLabels(e *sim.Engine) labels {
 		gcOp:        e.Intern("gc.op"),
 		gcOpTimeout: e.Intern("gc.op_timeout"),
 		gcNotify:    e.Intern("gc.notify"),
+		gcBurstEnd:  e.Intern("gc.burst_end"),
 		chunkRead:   e.Intern("ec.chunk_read"),
 		chunkBack:   e.Intern("ec.chunk_back"),
 		decode:      e.Intern("ec.decode"),

@@ -214,8 +214,10 @@ func (r *Rack) startGCBurst(inst *instance, target float64) {
 	}
 	inst.gcEvents++
 	var end sim.Time
-	//rackvet:commutative per-channel reservations are independent and end is a max
 	for ch, dur := range burst.PerChannel {
+		if dur == 0 {
+			continue
+		}
 		_, e := inst.server.dev.OccupyChannel(ch, dur)
 		if e > end {
 			end = e
@@ -223,28 +225,46 @@ func (r *Rack) startGCBurst(inst *instance, target float64) {
 	}
 	inst.v.StartGC(end)
 	r.tracer.RecordGC(inst.id, inst.lastGCType.String(), r.eng.Now(), end, burst.Blocks)
-	r.eng.AtNamed(end, "gc.burst_end", func(sim.Time) {
-		// A protected soft episode stays open — switch bit set, reads
-		// redirected — until the ratio is restored. Closing and
-		// immediately reopening would let reads slip into the gap and
-		// stall behind the next chunk's channel reservation.
-		if r.cfg.gcCoordinated() && inst.lastGCType == packet.GCSoft &&
-			r.freeRatio(inst) < r.cfg.SoftThreshold {
-			// Continue the protected episode chunk by chunk. Any read
-			// that slipped past the switch before the GC bit was set has
-			// already reserved the channel behind the finished chunk, so
-			// it drains before the next chunk's reservation: slip
-			// exposure is bounded by one chunk, not the whole train.
-			inst.server.flushPump(inst)
-			inst.server.pump(inst)
-			r.startGCBurst(inst, target)
-			return
-		}
-		inst.v.FinishGC()
-		r.finishGC(inst)
+	ev := r.freeBurstEnds.Get()
+	*ev = gcBurstEnd{r: r, inst: inst, target: target}
+	r.eng.AtHandler(end, r.lbl.gcBurstEnd, ev)
+}
+
+// gcBurstEnd closes one GC burst (gc.burst_end). It is pooled rather
+// than kept on the instance because one instance's bursts can overlap: a
+// gc_op whose retries run out collects without checking for a burst in
+// flight, and a monitor check at a burst's last instant already sees it
+// closed, before this event fires.
+type gcBurstEnd struct {
+	r      *Rack
+	inst   *instance
+	target float64
+}
+
+func (ev *gcBurstEnd) Fire(sim.Time) {
+	t, r := *ev, ev.r
+	r.freeBurstEnds.Put(ev)
+	inst := t.inst
+	// A protected soft episode stays open — switch bit set, reads
+	// redirected — until the ratio is restored. Closing and immediately
+	// reopening would let reads slip into the gap and stall behind the
+	// next chunk's channel reservation.
+	if r.cfg.gcCoordinated() && inst.lastGCType == packet.GCSoft &&
+		r.freeRatio(inst) < r.cfg.SoftThreshold {
+		// Continue the protected episode chunk by chunk. Any read that
+		// slipped past the switch before the GC bit was set has already
+		// reserved the channel behind the finished chunk, so it drains
+		// before the next chunk's reservation: slip exposure is bounded
+		// by one chunk, not the whole train.
 		inst.server.flushPump(inst)
 		inst.server.pump(inst)
-	})
+		r.startGCBurst(inst, t.target)
+		return
+	}
+	inst.v.FinishGC()
+	r.finishGC(inst)
+	inst.server.flushPump(inst)
+	inst.server.pump(inst)
 }
 
 // finishGC clears coordination state after a burst completes.

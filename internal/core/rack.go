@@ -158,19 +158,21 @@ type Rack struct {
 	// recycle everything a request or a repair puts in flight: packet
 	// hops, server steps, server queue entries, request states,
 	// degraded reads and their chunk fetches, repair grants and
-	// completions, and gc_op reply timers (events.go). perRack is
+	// completions, gc_op reply timers and GC burst ends (events.go,
+	// gc.go). perRack is
 	// per-rack scratch (rackScratch).
-	lbl          labels
-	freeHops     sim.FreeList[hopEvent]
-	freeIO       sim.FreeList[ioStep]
-	freeReqs     sim.FreeList[sched.Request]
-	freeStates   sim.FreeList[reqState]
-	freeReads    sim.FreeList[degradedRead]
-	freeFetches  sim.FreeList[chunkFetch]
-	freeRepairs  sim.FreeList[repairStep]
-	freeGCTimers sim.FreeList[gcOpTimeout]
-	perRack      []*instance
-	net          *netsim.Network
+	lbl           labels
+	freeHops      sim.FreeList[hopEvent]
+	freeIO        sim.FreeList[ioStep]
+	freeReqs      sim.FreeList[sched.Request]
+	freeStates    sim.FreeList[reqState]
+	freeReads     sim.FreeList[degradedRead]
+	freeFetches   sim.FreeList[chunkFetch]
+	freeRepairs   sim.FreeList[repairStep]
+	freeGCTimers  sim.FreeList[gcOpTimeout]
+	freeBurstEnds sim.FreeList[gcBurstEnd]
+	perRack       []*instance
+	net           *netsim.Network
 
 	// tors holds one ToR switch per rack, sharing the rack's forwarding
 	// fabric; spine is the explicit cross-rack boundary (spine.go).

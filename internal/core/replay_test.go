@@ -28,9 +28,9 @@ func runJSON(t *testing.T, sys System, seed int64) []byte {
 // sits at the core layer so a determinism regression is caught next to
 // the code that introduced it. Together with rackvet's simdeterminism
 // check (which proves no map iteration order can reach the event loop
-// statically) it pins the invariant from both sides: the GC burst path
-// exercised here drives the //rackvet:commutative-annotated PerChannel
-// iteration in startGCBurst across every run.
+// statically) it pins the invariant from both sides: the GC bursts
+// exercised here reserve their flash channels in channel order, from
+// the per-channel slice startGCBurst walks, across every run.
 func TestReplayByteIdentical(t *testing.T) {
 	for _, sys := range []System{VDC, RackBlox} {
 		for _, seed := range []int64{1, 7, 42} {

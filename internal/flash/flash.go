@@ -152,6 +152,11 @@ func (g Geometry) AddrOf(ppn int) Addr {
 type Block struct {
 	// State holds the per-page lifecycle.
 	State []PageState
+	// Owner is each page's out-of-band (OOB) area: the logical page the
+	// FTL last programmed into it. Flash does not interpret it, and
+	// erasing leaves it stale; an entry means something only while the
+	// page is valid and the owning FTL's mapping points back at it.
+	Owner []int32
 	// WritePtr is the next free page index; pages program sequentially.
 	WritePtr int
 	// Valid counts pages in PageValid.
@@ -195,10 +200,17 @@ func NewArray(geo Geometry, prof Profile) (*Array, error) {
 	}
 	a := &Array{Geo: geo, Profile: prof}
 	a.Chips = make([]Chip, geo.TotalChips())
+	ppb := geo.PagesPerBlock
 	for i := range a.Chips {
+		// One slab per chip for each per-page array: every block's
+		// State and Owner are capacity-capped windows into them.
+		states := make([]PageState, geo.BlocksPerChip*ppb)
+		owners := make([]int32, geo.BlocksPerChip*ppb)
 		blocks := make([]Block, geo.BlocksPerChip)
 		for b := range blocks {
-			blocks[b].State = make([]PageState, geo.PagesPerBlock)
+			lo, hi := b*ppb, (b+1)*ppb
+			blocks[b].State = states[lo:hi:hi]
+			blocks[b].Owner = owners[lo:hi:hi]
 		}
 		a.Chips[i].Blocks = blocks
 	}

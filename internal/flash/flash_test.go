@@ -98,6 +98,31 @@ func newTestArray(t *testing.T) *Array {
 	return a
 }
 
+// Every block's State and Owner are its own page-sized windows into the
+// chip's slabs: an append or a write through one block never reaches
+// its neighbour.
+func TestBlockPageWindows(t *testing.T) {
+	a := newTestArray(t)
+	ppb := a.Geo.PagesPerBlock
+	for c := range a.Chips {
+		for b := range a.Chips[c].Blocks {
+			blk := &a.Chips[c].Blocks[b]
+			if len(blk.State) != ppb || cap(blk.State) != ppb || len(blk.Owner) != ppb || cap(blk.Owner) != ppb {
+				t.Fatalf("chip %d block %d: State %d/%d, Owner %d/%d, want %d pages each",
+					c, b, len(blk.State), cap(blk.State), len(blk.Owner), cap(blk.Owner), ppb)
+			}
+		}
+	}
+	first, second := a.BlockAt(Addr{Block: 0}), a.BlockAt(Addr{Block: 1})
+	first.Owner[ppb-1] = 7
+	if second.Owner[0] != 0 {
+		t.Fatal("a block's last owner entry aliases the next block's first")
+	}
+	if p, _ := a.Program(Addr{Block: 0}); p != 0 || second.State[0] != PageFree {
+		t.Fatal("programming block 0 touched block 1")
+	}
+}
+
 func TestProgramSequential(t *testing.T) {
 	a := newTestArray(t)
 	addr := Addr{Channel: 0, Chip: 0, Block: 0}

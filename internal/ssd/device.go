@@ -15,7 +15,6 @@ import (
 // Each channel processes one flash command at a time, matching the paper's
 // observation that "an SSD channel cannot issue new I/O requests during GC".
 type Device struct {
-	eng      *sim.Engine
 	arr      *flash.Array
 	channels []*sim.Resource
 }
@@ -26,16 +25,13 @@ func NewDevice(eng *sim.Engine, geo flash.Geometry, prof flash.Profile) (*Device
 	if err != nil {
 		return nil, err
 	}
-	d := &Device{eng: eng, arr: arr}
+	d := &Device{arr: arr}
 	d.channels = make([]*sim.Resource, geo.Channels)
 	for i := range d.channels {
 		d.channels[i] = sim.NewResource(eng)
 	}
 	return d, nil
 }
-
-// Engine returns the simulation engine the device is bound to.
-func (d *Device) Engine() *sim.Engine { return d.eng }
 
 // Array exposes the flash state (used by the FTL).
 func (d *Device) Array() *flash.Array { return d.arr }
@@ -48,9 +44,6 @@ func (d *Device) Profile() flash.Profile { return d.arr.Profile }
 
 // Channel returns the serial resource of channel i.
 func (d *Device) Channel(i int) *sim.Resource { return d.channels[i] }
-
-// ChannelFreeAt returns when channel i next becomes idle.
-func (d *Device) ChannelFreeAt(i int) sim.Time { return d.channels[i].FreeAt() }
 
 // TimeRead schedules the timing of a page read on the owning channel,
 // returns its service window, and fires done (may be nil) when it

@@ -3,9 +3,11 @@ package ssd
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"rackblox/internal/flash"
+	"rackblox/internal/sim"
 )
 
 // BlockRef names one erase block inside a device.
@@ -38,19 +40,27 @@ type chipAlloc struct {
 // Each vSSD owns one FTL ("each vSSD has its own address mapping table",
 // §3.3). Chips are never shared between FTLs; software-isolated vSSDs
 // share channels, not chips.
+//
+// The reverse direction, physical page to logical page, lives where a
+// real SSD keeps it: in each programmed page's OOB area (flash.Block's
+// Owner). A page belongs to this FTL exactly when it is valid and
+// mapping[Owner] names it, so garbage collection needs no reverse table.
 type FTL struct {
 	dev          *Device
 	chips        []*chipAlloc
-	channels     []int       // distinct channels of chips, first-seen order
-	mapping      []int       // LPN -> global PPN, -1 when unmapped
-	reverse      map[int]int // global PPN -> LPN
-	nextChip     int         // round-robin allocation cursor
+	channels     []int   // distinct channels of chips, first-seen order
+	mapping      []int32 // LPN -> global PPN, -1 when unmapped
+	nextChip     int     // round-robin allocation cursor
 	logicalPages int
 
 	// Borrowed free blocks from collocated vSSDs in the same channel
 	// group (§3.5.2): usable for allocation, returned after group GC.
-	borrowed      []BlockRef       // still-free borrowed blocks
-	borrowedInUse map[BlockRef]int // borrowed blocks holding data -> chip placeholder
+	borrowed      []BlockRef // still-free borrowed blocks
+	borrowedInUse []BlockRef // borrowed blocks holding data, first-use order
+
+	// burst backs CollectBurst's BurstResult.PerChannel, indexed by
+	// channel up to the highest one in channels.
+	burst []sim.Time
 
 	hostWrites int64 // pages written by the host
 	gcMoves    int64 // pages moved by garbage collection
@@ -68,11 +78,10 @@ func NewFTL(dev *Device, chips []ChipRef, utilization float64) (*FTL, error) {
 		return nil, fmt.Errorf("ssd: utilization %f outside (0,1)", utilization)
 	}
 	geo := dev.Geometry()
-	f := &FTL{
-		dev:           dev,
-		reverse:       make(map[int]int),
-		borrowedInUse: make(map[BlockRef]int),
+	if geo.TotalPages() > math.MaxInt32 {
+		return nil, fmt.Errorf("ssd: %d pages overflow the int32 mapping", geo.TotalPages())
 	}
+	f := &FTL{dev: dev}
 	for _, c := range chips {
 		if c.Channel < 0 || c.Channel >= geo.Channels || c.Chip < 0 || c.Chip >= geo.ChipsPerChannel {
 			return nil, fmt.Errorf("ssd: chip %+v out of range", c)
@@ -87,28 +96,17 @@ func NewFTL(dev *Device, chips []ChipRef, utilization float64) (*FTL, error) {
 			f.channels = append(f.channels, c.Channel)
 		}
 	}
+	f.burst = make([]sim.Time, slices.Max(f.channels)+1)
 	raw := len(chips) * geo.BlocksPerChip * geo.PagesPerBlock
 	f.logicalPages = int(float64(raw) * utilization)
 	if f.logicalPages < 1 {
 		return nil, errors.New("ssd: logical space rounds to zero pages")
 	}
-	f.mapping = make([]int, f.logicalPages)
+	f.mapping = make([]int32, f.logicalPages)
 	for i := range f.mapping {
 		f.mapping[i] = -1
 	}
 	return f, nil
-}
-
-// Device returns the device this FTL allocates on.
-func (f *FTL) Device() *Device { return f.dev }
-
-// Chips returns the chip set owned by the FTL.
-func (f *FTL) Chips() []ChipRef {
-	refs := make([]ChipRef, len(f.chips))
-	for i, c := range f.chips {
-		refs[i] = c.ref
-	}
-	return refs
 }
 
 // Channels returns the distinct channels the FTL's chips live on, in
@@ -144,9 +142,6 @@ func (f *FTL) FreeRatio() float64 {
 // HostWrites returns pages written by the host.
 func (f *FTL) HostWrites() int64 { return f.hostWrites }
 
-// GCMoves returns pages relocated by GC.
-func (f *FTL) GCMoves() int64 { return f.gcMoves }
-
 // GCErases returns blocks erased by GC.
 func (f *FTL) GCErases() int64 { return f.gcErases }
 
@@ -167,7 +162,7 @@ func (f *FTL) Read(lpn int) (flash.Addr, error) {
 	if ppn < 0 {
 		return flash.Addr{}, ErrUnmapped
 	}
-	return f.dev.Geometry().AddrOf(ppn), nil
+	return f.dev.Geometry().AddrOf(int(ppn)), nil
 }
 
 // Write allocates a fresh physical page for the logical page, updating the
@@ -186,18 +181,29 @@ func (f *FTL) Write(lpn int) (flash.Addr, error) {
 	return addr, nil
 }
 
-// commitMapping points lpn at addr, invalidating the previous location.
+// commitMapping points lpn at addr, invalidating the previous location,
+// and records lpn in the new page's OOB area.
 func (f *FTL) commitMapping(lpn int, addr flash.Addr) {
 	geo := f.dev.Geometry()
+	arr := f.dev.Array()
 	if old := f.mapping[lpn]; old >= 0 {
-		if err := f.dev.Array().Invalidate(geo.AddrOf(old)); err != nil {
+		if err := arr.Invalidate(geo.AddrOf(int(old))); err != nil {
 			panic(fmt.Sprintf("ssd: corrupt mapping for lpn %d: %v", lpn, err))
 		}
-		delete(f.reverse, old)
 	}
-	ppn := geo.PPN(addr)
-	f.mapping[lpn] = ppn
-	f.reverse[ppn] = lpn
+	f.mapping[lpn] = int32(geo.PPN(addr))
+	arr.BlockAt(addr).Owner[addr.Page] = int32(lpn)
+}
+
+// owner returns the logical page stored in the valid page at addr, read
+// from its OOB area; ok is false when this FTL's mapping does not point
+// back at addr (the page is stale or belongs to another FTL).
+func (f *FTL) owner(blk *flash.Block, addr flash.Addr) (lpn int, ok bool) {
+	o := int(blk.Owner[addr.Page])
+	if o < 0 || o >= f.logicalPages || int(f.mapping[o]) != f.dev.Geometry().PPN(addr) {
+		return 0, false
+	}
+	return o, true
 }
 
 // allocPage returns the next free physical page, rotating across chips for
@@ -227,12 +233,13 @@ func (f *FTL) allocPage(exclude BlockRef, forGC bool) (flash.Addr, error) {
 			continue
 		}
 		addr.Page = page
-		blk := f.dev.Array().BlockAt(addr)
-		if blk.WritePtr >= geo.PagesPerBlock {
+		if page == 0 {
+			// Borrowed blocks arrive erased: the first program puts
+			// the block in use.
+			f.borrowedInUse = append(f.borrowedInUse, br)
+		}
+		if page == geo.PagesPerBlock-1 {
 			f.borrowed = f.borrowed[:len(f.borrowed)-1]
-			f.borrowedInUse[br] = 1
-		} else if _, ok := f.borrowedInUse[br]; !ok {
-			f.borrowedInUse[br] = 1
 		}
 		return addr, nil
 	}
@@ -341,6 +348,3 @@ func (f *FTL) GiveBack(blocks []BlockRef) {
 
 // BorrowedInUse returns how many borrowed blocks currently hold data.
 func (f *FTL) BorrowedInUse() int { return len(f.borrowedInUse) }
-
-// BorrowedFree returns how many borrowed blocks remain unused.
-func (f *FTL) BorrowedFree() int { return len(f.borrowed) }

@@ -296,8 +296,12 @@ func TestCollectBurstReachesTarget(t *testing.T) {
 	if res.Duration <= 0 {
 		t.Fatal("burst duration not accounted")
 	}
-	if len(res.PerChannel) == 0 {
-		t.Fatal("burst per-channel accounting missing")
+	var perChannel sim.Time
+	for _, d := range res.PerChannel {
+		perChannel += d
+	}
+	if perChannel != res.Duration {
+		t.Fatalf("per-channel time %d, want the burst's %d", perChannel, res.Duration)
 	}
 }
 
@@ -381,6 +385,67 @@ func TestBorrowedBlocksUsedWhenExhausted(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// A borrowed block that wears out on VacateBorrowed's erase is retired,
+// as reclaim retires a worn victim: it is not handed back, so the
+// lender's free list and FreeRatio never count a bad block.
+func TestVacateBorrowedRetiresWornBlocks(t *testing.T) {
+	prof := flash.ProfilePSSD()
+	prof.Endurance = 2
+	d, err := NewDevice(sim.NewEngine(), testGeo(), prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	borrower, err := NewFTL(d, []ChipRef{{Channel: 0, Chip: 0}}, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lenderChip := ChipRef{Channel: 0, Chip: 1}
+	lender := newFTL(t, d, []ChipRef{lenderChip})
+	// Age the lender's blocks to one erase short of their endurance.
+	for b := 0; b < testGeo().BlocksPerChip; b++ {
+		if err := d.Array().Erase(flash.Addr{Channel: 0, Chip: 1, Block: b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lenderFree := lender.FreeBlocks()
+	borrower.AcceptBorrowed(lender.Borrow(4))
+	for i := 0; i < 3*borrower.LogicalPages(); i++ {
+		if _, err := borrower.Write(i % borrower.LogicalPages()); err != nil {
+			break
+		}
+	}
+	inUse := borrower.BorrowedInUse()
+	if inUse == 0 || inUse == 4 {
+		t.Fatalf("%d of 4 borrowed blocks in use, want some used and some not", inUse)
+	}
+	borrower.CollectBurst(0.5, 0)
+	erasesBefore := borrower.GCErases()
+	returned, _ := borrower.VacateBorrowed()
+	if borrower.BorrowedInUse() != 0 {
+		t.Fatalf("%d borrowed blocks still in use after vacate", borrower.BorrowedInUse())
+	}
+	if got := borrower.GCErases() - erasesBefore; got != int64(inUse) {
+		t.Fatalf("vacate erased %d blocks, want %d", got, inUse)
+	}
+	if len(returned) != 4-inUse {
+		t.Fatalf("returned %d blocks, want only the %d never-used ones", len(returned), 4-inUse)
+	}
+	for _, br := range returned {
+		if d.Array().BlockAt(flash.Addr{Channel: br.Chip.Channel, Chip: br.Chip.Chip, Block: br.Block}).Bad {
+			t.Fatalf("worn-out block %v handed back to the lender", br)
+		}
+	}
+	lender.GiveBack(returned)
+	if got, want := lender.FreeBlocks(), lenderFree-inUse; got != want {
+		t.Fatalf("lender free blocks = %d, want %d (the worn blocks retired)", got, want)
+	}
+	for i := 0; i < borrower.LogicalPages(); i++ {
+		if a, err := borrower.Read(i); err == nil && a.Chip != 0 {
+			t.Fatalf("lpn %d still lives on the lender's chip at %+v", i, a)
 		}
 	}
 }

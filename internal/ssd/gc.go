@@ -1,8 +1,9 @@
 package ssd
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rackblox/internal/flash"
 	"rackblox/internal/sim"
@@ -26,8 +27,11 @@ type BurstResult struct {
 	Blocks   int
 	Moved    int
 	Duration sim.Time
-	// PerChannel is the blocked time per channel index.
-	PerChannel map[int]sim.Time
+	// PerChannel is the blocked time per channel index, up to the
+	// highest channel the producer spans; 0 leaves a channel alone. It
+	// aliases a buffer its producer reuses, so it is valid until the
+	// producer's next burst.
+	PerChannel []sim.Time
 }
 
 // stepDuration prices one GC step from the device profile.
@@ -94,9 +98,9 @@ func (f *FTL) reclaim(v BlockRef) (GCResult, error) {
 		}
 		src := vaddr
 		src.Page = p
-		lpn, ok := f.reverse[geo.PPN(src)]
+		lpn, ok := f.owner(blk, src)
 		if !ok {
-			return GCResult{}, fmt.Errorf("ssd: valid page %v has no reverse mapping", src)
+			return GCResult{}, fmt.Errorf("ssd: valid page %v is not mapped by its owner", src)
 		}
 		dst, err := f.allocPage(v, true)
 		if err != nil {
@@ -127,9 +131,12 @@ func (f *FTL) reclaim(v BlockRef) (GCResult, error) {
 // GC event at "a few milliseconds" of channel time — the granularity the
 // paper's tail-latency numbers reflect — with further events following in
 // later monitoring rounds. It aggregates per-channel blocked time so the
-// caller can occupy the channel resources for the right spans.
+// caller can occupy the channel resources for the right spans; the
+// result's PerChannel is the FTL's own buffer, overwritten by the next
+// CollectBurst.
 func (f *FTL) CollectBurst(target float64, maxBlocks int) BurstResult {
-	out := BurstResult{PerChannel: map[int]sim.Time{}}
+	clear(f.burst)
+	out := BurstResult{PerChannel: f.burst}
 	for f.FreeRatio() < target {
 		if maxBlocks > 0 && out.Blocks >= maxBlocks {
 			break
@@ -148,30 +155,23 @@ func (f *FTL) CollectBurst(target float64, maxBlocks int) BurstResult {
 
 // VacateBorrowed relocates any data left in borrowed blocks back onto the
 // FTL's own chips, erases the borrowed blocks ("for security", §3.5.2),
-// and returns them so the lender can reclaim them via GiveBack. The second
-// return value is the flash time consumed.
+// and returns them so the lender can reclaim them via GiveBack. A block
+// that wears out on that erase is retired, as reclaim retires its
+// victims, and is not returned. The second return value is the flash
+// time consumed.
 func (f *FTL) VacateBorrowed() ([]BlockRef, sim.Time) {
 	geo := f.dev.Geometry()
 	arr := f.dev.Array()
 	var returned []BlockRef
 	var dur sim.Time
-	// Sort the in-use set so relocation order (and thus FTL state) is
-	// deterministic; map iteration order would leak randomness into runs.
-	inUse := make([]BlockRef, 0, len(f.borrowedInUse))
-	for br := range f.borrowedInUse {
-		inUse = append(inUse, br)
-	}
-	sort.Slice(inUse, func(i, j int) bool {
-		a, b := inUse[i], inUse[j]
-		if a.Chip != b.Chip {
-			if a.Chip.Channel != b.Chip.Channel {
-				return a.Chip.Channel < b.Chip.Channel
-			}
-			return a.Chip.Chip < b.Chip.Chip
-		}
-		return a.Block < b.Block
+	// Vacate in physical order, so relocation (and thus FTL state) does
+	// not depend on the order the blocks came into use.
+	slices.SortFunc(f.borrowedInUse, func(a, b BlockRef) int {
+		return cmp.Or(cmp.Compare(a.Chip.Channel, b.Chip.Channel),
+			cmp.Compare(a.Chip.Chip, b.Chip.Chip), cmp.Compare(a.Block, b.Block))
 	})
-	for _, br := range inUse {
+	kept := f.borrowedInUse[:0]
+	for _, br := range f.borrowedInUse {
 		vaddr := flash.Addr{Channel: br.Chip.Channel, Chip: br.Chip.Chip, Block: br.Block}
 		blk := arr.BlockAt(vaddr)
 		moved := 0
@@ -181,7 +181,7 @@ func (f *FTL) VacateBorrowed() ([]BlockRef, sim.Time) {
 			}
 			src := vaddr
 			src.Page = p
-			lpn, ok := f.reverse[geo.PPN(src)]
+			lpn, ok := f.owner(blk, src)
 			if !ok {
 				continue
 			}
@@ -203,16 +203,19 @@ func (f *FTL) VacateBorrowed() ([]BlockRef, sim.Time) {
 			moved++
 		}
 		if moved < 0 {
+			kept = append(kept, br)
 			continue
 		}
-		arr.Erase(vaddr)
 		f.gcErases++
 		dur += f.stepDuration(moved)
+		if err := arr.Erase(vaddr); err != nil {
+			continue // worn out: retired here, never back on a free list
+		}
 		returned = append(returned, br)
-		delete(f.borrowedInUse, br)
 	}
+	f.borrowedInUse = kept
 	// Unused borrowed blocks go back as-is (they are still erased).
 	returned = append(returned, f.borrowed...)
-	f.borrowed = nil
+	f.borrowed = f.borrowed[:0]
 	return returned, dur
 }

@@ -10,6 +10,7 @@ package vssd
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"rackblox/internal/sim"
 	"rackblox/internal/ssd"
@@ -145,6 +146,9 @@ type ChannelGroup struct {
 	BorrowQuantum int
 	// loans tracks lender -> borrower -> blocks, so returns go home.
 	loans map[*VSSD]map[*VSSD][]ssd.BlockRef
+	// burst backs GroupCollect's BurstResult.PerChannel, indexed by
+	// channel up to the highest one the members span.
+	burst []sim.Time
 }
 
 // NewChannelGroup groups software-isolated vSSDs. All members must be
@@ -169,6 +173,7 @@ func NewChannelGroup(borrowQuantum int, members ...*VSSD) (*ChannelGroup, error)
 		Members:       members,
 		BorrowQuantum: borrowQuantum,
 		loans:         make(map[*VSSD]map[*VSSD][]ssd.BlockRef),
+		burst:         make([]sim.Time, slices.Max(members[0].Channels())+1),
 	}
 	for _, m := range members {
 		m.group = g
@@ -248,15 +253,16 @@ func (g *ChannelGroup) freestMember(excluding *VSSD) *VSSD {
 // perform GC ... then all vSSDs should perform GC to reduce GC
 // frequency"), vacates and returns borrowed blocks, and reports the
 // combined per-channel busy time. maxBlocks caps each member's burst
-// (0 = unlimited).
+// (0 = unlimited). The result's PerChannel is the group's own buffer,
+// overwritten by the next GroupCollect.
 func (g *ChannelGroup) GroupCollect(target float64, maxBlocks int) ssd.BurstResult {
-	out := ssd.BurstResult{PerChannel: map[int]sim.Time{}}
+	clear(g.burst)
+	out := ssd.BurstResult{PerChannel: g.burst}
 	for _, m := range g.Members {
 		res := m.FTL.CollectBurst(target, maxBlocks)
 		out.Blocks += res.Blocks
 		out.Moved += res.Moved
 		out.Duration += res.Duration
-		//rackvet:commutative integer sums into per-channel entries commute
 		for ch, d := range res.PerChannel {
 			out.PerChannel[ch] += d
 		}

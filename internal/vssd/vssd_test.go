@@ -256,7 +256,11 @@ func TestGroupCollectReturnsLoans(t *testing.T) {
 		t.Fatalf("lender free blocks %d did not recover from %d",
 			b.FTL.FreeBlocks(), lenderFreeBefore)
 	}
-	if len(res.PerChannel) == 0 || res.Duration == 0 {
+	charged := false
+	for _, d := range res.PerChannel {
+		charged = charged || d > 0
+	}
+	if !charged || res.Duration == 0 {
 		t.Fatal("group collect did not account channel time")
 	}
 }

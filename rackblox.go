@@ -248,7 +248,9 @@
 //     state, records trace/stats samples, or draws randomness must
 //     iterate sorted keys or carry a `//rackvet:commutative <rationale>`
 //     directive asserting the body commutes — and no global math/rand
-//     use. Same-seed runs replay byte-identically.
+//     use. Same-seed runs replay byte-identically. No production code
+//     carries the directive today: its last users, a GC burst's
+//     per-channel times, became a slice walked in channel order.
 //   - simtime: no wall-clock reads (time.Now/Since/Until/Sleep/timers)
 //     anywhere simulation logic runs; the only clock is virtual
 //     sim.Time. _test.go files, cmd/, and examples/ are exempt, and
@@ -285,7 +287,8 @@
 // the switch pipeline, the server pump, DRAM and flash completions, the
 // Hermes round — and each step of the background work beside it — a
 // degraded read's chunk fetches and decode, the repair pump, pacer
-// grants and ticks, paced-lane wakeups, a repair batch's completion —
+// grants and ticks, paced-lane wakeups, a repair batch's completion, a
+// GC burst's end —
 // is a sim.Handler that captures nothing (the object itself, or an event
 // recycled through a per-Rack, per-Switch or per-lane sim.FreeList) and
 // is scheduled under a Label interned once. The request's own state is
@@ -295,7 +298,11 @@
 // TestECSteadyStateAllocs (internal/core) pin a warm rack's foreground
 // read and write, replicated or erasure-coded, at zero allocations;
 // TestRepairPathAllocs bounds a whole crash-revive-crash repair run
-// under one malloc per request; and TestEngineSteadyStateAllocs and
+// under one malloc per request; TestGCBurstAllocs pins a warm GC burst,
+// single-FTL or channel-group, at zero, and BenchmarkFTLWriteGC
+// (internal/ssd) fails if a warm host write with GC allocates, because
+// the FTL finds a page's owner in the flash OOB area rather than a
+// reverse map; and TestEngineSteadyStateAllocs and
 // TestFreeList (internal/sim) pin the engine at zero and a free list at
 // one malloc per slab. Closures (AtNamed with a func literal) remain
 // only for cold paths: failures, re-integration, scenario timers and
