@@ -197,17 +197,10 @@ func TestGCBurstAllocs(t *testing.T) {
 // recycled.
 const repairAllocBudget = 1
 
-// TestRepairPathAllocs is the CI gate for the background repair and
-// degraded-read paths: three racks of six under LRC(4,2) on a scarce,
-// SLO-paced spine, with a server crash (rack-local XOR repair), its
-// revival (catch-up repair) and a whole-rack crash (aggregated
-// cross-rack repair, paced spine, degraded reads). It counts every
-// malloc over Rack.Run, so a closure or a per-call slice on any of those
-// paths shows up here as a deterministic rise per request.
-func TestRepairPathAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-run allocation gate")
-	}
+// repairGateConfig is TestRepairPathAllocs' run: LRC(4,2) on 3x6 with
+// an 80 MB/s SLO-paced spine, a server crash, its revival, and a rack
+// crash.
+func repairGateConfig() Config {
 	cfg := lrcConfig()
 	cfg.CrossRackMBps = 80
 	cfg.Device = flash.ProfileOptane()
@@ -223,7 +216,21 @@ func TestRepairPathAllocs(t *testing.T) {
 		ReviveServer(0, 150*sim.Millisecond),
 		FailRack(0, 300*sim.Millisecond),
 	}
-	r, err := NewRack(cfg)
+	return cfg
+}
+
+// TestRepairPathAllocs is the CI gate for the background repair and
+// degraded-read paths: three racks of six under LRC(4,2) on a scarce,
+// SLO-paced spine, with a server crash (rack-local XOR repair), its
+// revival (catch-up repair) and a whole-rack crash (aggregated
+// cross-rack repair, paced spine, degraded reads). It counts every
+// malloc over Rack.Run, so a closure or a per-call slice on any of those
+// paths shows up here as a deterministic rise per request.
+func TestRepairPathAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-run allocation gate")
+	}
+	r, err := NewRack(repairGateConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

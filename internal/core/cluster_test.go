@@ -40,9 +40,15 @@ func TestMultiRackClusterHealthyRun(t *testing.T) {
 	}
 }
 
-func TestWholeRackFailureSpreadPlacementRecovers(t *testing.T) {
+// rsRackCrashConfig crashes rack 1 of clusterConfig.
+func rsRackCrashConfig() Config {
 	cfg := clusterConfig()
 	cfg.Scenario = []Event{FailRack(1, 120*sim.Millisecond)}
+	return cfg
+}
+
+func TestWholeRackFailureSpreadPlacementRecovers(t *testing.T) {
+	cfg := rsRackCrashConfig()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -92,10 +98,15 @@ func TestWholeRackFailureCompactPlacementLosesGroups(t *testing.T) {
 	}
 }
 
-func TestToRFailureServedByHandoff(t *testing.T) {
+// rsToROutageConfig darkens ToR 2 of clusterConfig for good.
+func rsToROutageConfig() Config {
 	cfg := clusterConfig()
 	cfg.Scenario = []Event{FailToR(2, 120*sim.Millisecond)}
-	res, err := Run(cfg)
+	return cfg
+}
+
+func TestToRFailureServedByHandoff(t *testing.T) {
+	res, err := Run(rsToROutageConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,6 +69,14 @@ func replicated2x3(duration sim.Time, events ...Event) Config {
 // of a server holding another holder's rebuilt replacement — and checks
 // what each must leave behind.
 func TestControlPlaneFailureTimelines(t *testing.T) {
+	for _, tc := range controlPlaneCases() {
+		t.Run(tc.name, tc.run)
+	}
+}
+
+// controlPlaneCases builds TestControlPlaneFailureTimelines' timelines;
+// the golden Result hashes replay their configs too.
+func controlPlaneCases() []cpCase {
 	ms := sim.Millisecond
 	var cases []cpCase
 
@@ -208,7 +216,5 @@ func TestControlPlaneFailureTimelines(t *testing.T) {
 		},
 	})
 
-	for _, tc := range cases {
-		t.Run(tc.name, tc.run)
-	}
+	return cases
 }

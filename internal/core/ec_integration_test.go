@@ -55,14 +55,20 @@ func TestECValidation(t *testing.T) {
 	}
 }
 
+// ecGCConfig is ecConfig under a write-heavy mix that keeps holders
+// collecting.
+func ecGCConfig() Config {
+	cfg := ecConfig()
+	cfg.Workload.WriteFrac = 0.8
+	cfg.Duration = 400 * sim.Millisecond
+	return cfg
+}
+
 // TestECDegradedReadsUnderGC drives a write-heavy mix so chunk holders
 // collect garbage, and checks that reads steered away from collectors
 // complete via reconstruction.
 func TestECDegradedReadsUnderGC(t *testing.T) {
-	cfg := ecConfig()
-	cfg.Workload.WriteFrac = 0.8
-	cfg.Duration = 400 * sim.Millisecond
-	res, err := Run(cfg)
+	res, err := Run(ecGCConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,16 +81,21 @@ func TestECDegradedReadsUnderGC(t *testing.T) {
 	}
 }
 
+// ecMCrashConfig crashes m=2 servers of ecConfig at once.
+func ecMCrashConfig() Config {
+	cfg := ecConfig()
+	cfg.Duration = 500 * sim.Millisecond
+	at := cfg.Warmup + 100*sim.Millisecond
+	cfg.Scenario = []Event{FailServer(0, at), FailServer(1, at)}
+	return cfg
+}
+
 // TestECSurvivesMServerFailures is the acceptance scenario: with m=2
 // servers crashed mid-run, every read still succeeds (degraded
 // reconstruction from the k survivors), and the background reconstructor
 // repairs lost chunks in GC idle windows.
 func TestECSurvivesMServerFailures(t *testing.T) {
-	cfg := ecConfig()
-	cfg.Duration = 500 * sim.Millisecond
-	at := cfg.Warmup + 100*sim.Millisecond
-	cfg.Scenario = []Event{FailServer(0, at), FailServer(1, at)}
-	res, err := Run(cfg)
+	res, err := Run(ecMCrashConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +119,20 @@ func TestECSurvivesMServerFailures(t *testing.T) {
 		res.RepairPending, res.RepairDelayed)
 }
 
-// TestECMPlusOneFailuresSurfaceLoss: losing m+1 chunk holders of a
-// stripe makes its data unrecoverable, which the counters must expose
-// rather than hide.
-func TestECMPlusOneFailuresSurfaceLoss(t *testing.T) {
+// ecMPlusOneCrashConfig crashes m+1 = 3 servers of ecConfig at once.
+func ecMPlusOneCrashConfig() Config {
 	cfg := ecConfig()
 	cfg.Duration = 400 * sim.Millisecond
 	at := cfg.Warmup + 50*sim.Millisecond
 	cfg.Scenario = []Event{FailServer(0, at), FailServer(1, at), FailServer(2, at)}
-	res, err := Run(cfg)
+	return cfg
+}
+
+// TestECMPlusOneFailuresSurfaceLoss: losing m+1 chunk holders of a
+// stripe makes its data unrecoverable, which the counters must expose
+// rather than hide.
+func TestECMPlusOneFailuresSurfaceLoss(t *testing.T) {
+	res, err := Run(ecMPlusOneCrashConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

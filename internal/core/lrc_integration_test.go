@@ -66,15 +66,20 @@ func TestLRCValidation(t *testing.T) {
 	}
 }
 
+// lrcServerCrashConfig crashes server 0 of lrcConfig.
+func lrcServerCrashConfig() Config {
+	cfg := lrcConfig()
+	cfg.Duration = 500 * sim.Millisecond
+	cfg.Scenario = []Event{FailServer(0, cfg.Warmup+100*sim.Millisecond)}
+	return cfg
+}
+
 // TestLRCSingleServerLossRepairsInRack is the headline property: one
 // crashed server is repaired entirely inside its rack — the local-XOR
 // plan rebuilds the lost chunks from the rack's survivors plus its local
 // parity, and no repair byte crosses the spine.
 func TestLRCSingleServerLossRepairsInRack(t *testing.T) {
-	cfg := lrcConfig()
-	cfg.Duration = 500 * sim.Millisecond
-	cfg.Scenario = []Event{FailServer(0, cfg.Warmup+100*sim.Millisecond)}
-	res, err := Run(cfg)
+	res, err := Run(lrcServerCrashConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +105,19 @@ func TestLRCSingleServerLossRepairsInRack(t *testing.T) {
 		res.LocalDegradedReads, res.DegradedReads)
 }
 
+// lrcRackCrashConfig crashes rack 1 of lrcConfig.
+func lrcRackCrashConfig() Config {
+	cfg := lrcConfig()
+	cfg.Scenario = []Event{FailRack(1, 120*sim.Millisecond)}
+	return cfg
+}
+
 // TestLRCRackFailureAggregatesRepair: with a whole rack down the local
 // plan is impossible, so repair falls back to the global decode with
 // per-rack aggregation — spine bytes flow, but one batch per remote
 // rack rather than one per survivor.
 func TestLRCRackFailureAggregatesRepair(t *testing.T) {
-	cfg := lrcConfig()
-	cfg.Scenario = []Event{FailRack(1, 120*sim.Millisecond)}
-	res, err := Run(cfg)
+	res, err := Run(lrcRackCrashConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,19 +136,25 @@ func TestLRCRackFailureAggregatesRepair(t *testing.T) {
 	}
 }
 
+// lrcOnePerRackCrashConfig crashes server 0 of every rack of lrcConfig.
+// Group 0 places its globals on servers 0 and 1 of each rack, so it
+// loses one global member per rack (global indexes stride
+// StorageServers).
+func lrcOnePerRackCrashConfig() Config {
+	cfg := lrcConfig()
+	cfg.Duration = 400 * sim.Millisecond
+	at := cfg.Warmup + 100*sim.Millisecond
+	cfg.Scenario = []Event{FailServer(0, at), FailServer(6, at), FailServer(12, at)}
+	return cfg
+}
+
 // TestLRCDurabilityCreditsLocallyRecoverableRacks exercises the
 // durability accounting this family changes: one dead global member per
 // rack (three dead servers, only three live globals — fewer than k)
 // stays recoverable, because every rack can rebuild its single casualty
 // from its survivors plus its local parity.
 func TestLRCDurabilityCreditsLocallyRecoverableRacks(t *testing.T) {
-	cfg := lrcConfig()
-	cfg.Duration = 400 * sim.Millisecond
-	// Group 0 places its globals on servers 0 and 1 of each rack; kill
-	// server 0 of every rack (global indexes stride StorageServers).
-	at := cfg.Warmup + 100*sim.Millisecond
-	cfg.Scenario = []Event{FailServer(0, at), FailServer(6, at), FailServer(12, at)}
-	res, err := Run(cfg)
+	res, err := Run(lrcOnePerRackCrashConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,17 +174,22 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
-// TestServerRevivalCatchUpRestores: a crashed server returns empty
-// mid-run, its lost chunk holder catches up via the metered
-// reconstructor, and the holder is re-registered under its own id —
-// after which no read pays the degraded cost.
-func TestServerRevivalCatchUpRestores(t *testing.T) {
+// catchUpRevivalConfig crashes server 0 and revives it mid-run.
+func catchUpRevivalConfig() Config {
 	cfg := recoveryConfig()
 	cfg.Scenario = []Event{
 		FailServer(0, 100*sim.Millisecond),
 		ReviveServer(0, 250*sim.Millisecond),
 	}
-	res, err := Run(cfg)
+	return cfg
+}
+
+// TestServerRevivalCatchUpRestores: a crashed server returns empty
+// mid-run, its lost chunk holder catches up via the metered
+// reconstructor, and the holder is re-registered under its own id —
+// after which no read pays the degraded cost.
+func TestServerRevivalCatchUpRestores(t *testing.T) {
+	res, err := Run(catchUpRevivalConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +214,8 @@ func TestServerRevivalCatchUpRestores(t *testing.T) {
 	}
 }
 
-// TestRepeatedFailHealCycle exercises what motivates the timeline API:
-// the same server fails, heals by catch-up after revival, and fails
-// again — the second loss healing through adopter re-integration — and
-// the cluster still ends fully healed with zero post-repair stragglers.
-func TestRepeatedFailHealCycle(t *testing.T) {
+// failHealCycleConfig fails server 0, revives it, and fails it again.
+func failHealCycleConfig() Config {
 	cfg := recoveryConfig()
 	cfg.Duration = 850 * sim.Millisecond
 	cfg.Scenario = []Event{
@@ -221,7 +223,15 @@ func TestRepeatedFailHealCycle(t *testing.T) {
 		ReviveServer(0, 300*sim.Millisecond),
 		FailServer(0, 600*sim.Millisecond),
 	}
-	res, err := Run(cfg)
+	return cfg
+}
+
+// TestRepeatedFailHealCycle exercises what motivates the timeline API:
+// the same server fails, heals by catch-up after revival, and fails
+// again — the second loss healing through adopter re-integration — and
+// the cluster still ends fully healed with zero post-repair stragglers.
+func TestRepeatedFailHealCycle(t *testing.T) {
+	res, err := Run(failHealCycleConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,22 +282,21 @@ func TestReviveBeforeDetectionIsTransientBlip(t *testing.T) {
 	}
 }
 
-// TestAdopterCrashMidRepairRestartsRebuild: when the member adopting a
-// lost holder's chunks dies itself, the batches already rebuilt onto it
-// are gone — the repair must restart from scratch onto a fresh adopter
-// (a new reconstructor generation) instead of counting the dead
-// adopter's batches toward a replacement that never got them.
-func TestAdopterCrashMidRepairRestartsRebuild(t *testing.T) {
-	base := recoveryConfig()
+// adopterCrashConfig crashes server 0 and then, mid-repair, the server
+// adopting its holder's chunks. It also returns that holder's group and
+// group-local index.
+func adopterCrashConfig(t testing.TB) (cfg Config, groupIdx, holder int) {
+	t.Helper()
+	cfg = recoveryConfig()
 	// Probe run (no failures) to learn, deterministically, which member
 	// would adopt server 0's holder — adopter choice depends only on
 	// group order and reachability, both identical in the real run.
-	probe, err := NewRack(base)
+	probe, err := NewRack(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var holder, adopterSrv int
-	var groupIdx = -1
+	var adopterSrv int
+	groupIdx = -1
 	for gi, g := range probe.groups {
 		for i, inst := range g.insts {
 			if inst.server.index == 0 {
@@ -299,13 +308,21 @@ func TestAdopterCrashMidRepairRestartsRebuild(t *testing.T) {
 	if groupIdx < 0 {
 		t.Fatal("no stripe holder on server 0; test set up wrong")
 	}
-
-	cfg := base
 	cfg.Duration = 600 * sim.Millisecond
 	cfg.Scenario = []Event{
 		FailServer(0, 100*sim.Millisecond),
 		FailServer(adopterSrv, 160*sim.Millisecond),
 	}
+	return cfg, groupIdx, holder
+}
+
+// TestAdopterCrashMidRepairRestartsRebuild: when the member adopting a
+// lost holder's chunks dies itself, the batches already rebuilt onto it
+// are gone — the repair must restart from scratch onto a fresh adopter
+// (a new reconstructor generation) instead of counting the dead
+// adopter's batches toward a replacement that never got them.
+func TestAdopterCrashMidRepairRestartsRebuild(t *testing.T) {
+	cfg, groupIdx, holder := adopterCrashConfig(t)
 	r, err := NewRack(cfg)
 	if err != nil {
 		t.Fatal(err)
