@@ -106,9 +106,10 @@ func controlPlaneCases() []cpCase {
 			var replaced, localDead, remoteDead int
 			for _, g := range r.groups {
 				for i, m := range g.insts {
-					dead := g.replacement[i] == nil && !m.server.reachable()
+					repaired := g.chunks.Replacement(i) >= 0
+					dead := !repaired && !m.server.reachable()
 					switch {
-					case g.replacement[i] != nil:
+					case repaired:
 						replaced++
 					case dead && m.server.rackIdx == 0:
 						localDead++
@@ -149,7 +150,7 @@ func controlPlaneCases() []cpCase {
 		probeAt: 1300*ms - 1,
 		probe: func(t *testing.T, r *Rack) {
 			g := r.groups[0]
-			if repl := g.replacement[0]; repl == nil || repl.server != r.servers[6] {
+			if rp := g.chunks.Replacement(0); rp < 0 || g.insts[rp].server != r.servers[6] {
 				t.Fatalf("group 0 holder 0 not rebuilt onto server 6 before its crash")
 			}
 		},
@@ -159,8 +160,7 @@ func controlPlaneCases() []cpCase {
 				if m.server.reachable() {
 					continue
 				}
-				repl := g.replacement[i]
-				if repl == nil || !repl.server.reachable() {
+				if rp := g.chunks.Replacement(i); rp < 0 || !g.insts[rp].server.reachable() {
 					t.Errorf("group 0 holder %d on a dead server has no live replacement", i)
 				}
 			}

@@ -57,36 +57,20 @@ type ecGroup struct {
 	repairArmed    bool
 	repairInFlight bool
 
-	// Re-integration state: once the reconstructor finishes a lost
-	// holder, the adopting member that received the rebuilt chunks is
-	// registered as its replacement — reads and writes for the holder's
-	// chunks go to it directly, no longer degraded. crashed marks the
-	// holders whose server died and was queued for repair at least once
-	// (a darkened ToR does not crash holders); repairing marks the
-	// holders with a rebuild outstanding right now, so repeated
-	// fail/heal cycles keep the cumulative failedHolders and
-	// reintegratedHolders counts balanced; reintegratedAt is when the
-	// last outstanding holder completed.
-	replacement map[int]*instance
-	crashed     map[int]bool
-	repairing   map[int]bool
-	// adopterFor pins each lost holder's adopter for the whole repair:
-	// every batch programs onto it and re-integration registers it, so
-	// a reachability change mid-repair cannot desynchronize where the
-	// chunks landed from where reads are steered afterwards. A catch-up
-	// repair after server revival pins the original holder itself — the
-	// returning box is blank, so the rebuild targets it directly.
-	adopterFor          map[int]*instance
-	failedHolders       int
-	reintegratedHolders int
-	reintegratedAt      sim.Time
+	// chunks maps insts' positions to servers and tracks each holder's
+	// repair: its crash, the member its rebuild is pinned to (so a
+	// reachability change mid-repair cannot desynchronize where the
+	// chunks landed from where reads are steered afterwards) and, once
+	// re-integrated, the replacement that serves its chunks directly.
+	// reintegratedAt is when the last outstanding holder completed.
+	chunks         ec.ChunkMap
+	reintegratedAt sim.Time
 
-	// Scratch for the member lists the datapath and repair compute per
-	// request or batch: writeHolders fills holderBuf, readSources and
-	// degradedSources fill readBuf, repairSources fills repairBuf. Each
-	// returned slice is valid until the next call of the same function;
-	// no caller holds one across such a call.
-	holderBuf, readBuf, repairBuf []*instance
+	// Scratch for the lists the datapath and repair compute per request
+	// or batch: writeHolders fills holderBuf, startDegradedRead readBuf
+	// and repairPlan repairBuf. No caller holds one across another fill.
+	holderBuf          []*instance
+	readBuf, repairBuf []int
 }
 
 // holderIndex resolves a member id to its group-local holder index.
@@ -117,26 +101,20 @@ func (g *ecGroup) memberTable() (ids []uint32, racks []int) {
 	return ids, racks
 }
 
-// reintegrated reports whether every holder this group lost has been
-// rebuilt and re-registered.
-func (g *ecGroup) reintegrated() bool {
-	return g.failedHolders > 0 && g.reintegratedHolders == g.failedHolders
-}
-
 // servesDirect reports whether inst is the re-integrated replacement for
 // the holder a read was addressed to: the rebuilt chunk lives here, so
 // the switch-rewritten read is served like any healthy read instead of a
 // k-fetch reconstruction.
 func (g *ecGroup) servesDirect(inst *instance, homeID uint32) bool {
 	i, ok := g.holderIndex(homeID)
-	return ok && g.replacement[i] == inst
+	return ok && g.chunks.Replacement(i) >= 0 && g.insts[g.chunks.Replacement(i)] == inst
 }
 
-// source reports whether member i can serve its chunk as a
-// reconstruction source: its server is reachable and it has no rebuild
-// outstanding (a revived-but-catching-up member is blank).
-func (g *ecGroup) source(i int) bool {
-	return g.insts[i].server.reachable() && !g.repairing[i]
+// repairPlan plans holder's rebuild onto member target
+// (ec.ChunkMap.RepairPlan); the sources are the group's repairBuf.
+func (g *ecGroup) repairPlan(holder, target int) (src []int, local bool, cross int) {
+	g.repairBuf, local, cross = g.chunks.RepairPlan(g.repairBuf, holder, target, g.rack.serverReachable)
+	return g.repairBuf, local, cross
 }
 
 // buildGroups creates the erasure-coded volumes: for each group, k+m
@@ -151,15 +129,11 @@ func (r *Rack) buildGroups() error {
 
 	for gidx := 0; gidx < cfg.VSSDPairs; gidx++ {
 		g := &ecGroup{
-			rack:        r,
-			idx:         gidx,
-			spec:        spec,
-			striper:     ec.Striper{Spec: spec},
-			recon:       ec.NewReconstructor(),
-			replacement: make(map[int]*instance),
-			crashed:     make(map[int]bool),
-			repairing:   make(map[int]bool),
-			adopterFor:  make(map[int]*instance),
+			rack:    r,
+			idx:     gidx,
+			spec:    spec,
+			striper: ec.Striper{Spec: spec},
+			recon:   ec.NewReconstructor(),
 		}
 		servers := placer.Place(gidx)
 		if cfg.Redundancy.localParity() {
@@ -178,6 +152,7 @@ func (r *Rack) buildGroups() error {
 			}
 			g.insts = append(g.insts, inst)
 		}
+		g.chunks = ec.NewChunkMap(spec, servers, placer.RackOf)
 
 		// Register every chunk holder with its own rack's ToR
 		// (create_vssd, replica = the next member in the same rack so
@@ -254,158 +229,6 @@ func (g *ecGroup) writeHolders(stripe, pos int) []*instance {
 	}
 	g.holderBuf = out
 	return out
-}
-
-// adopter picks the surviving member that absorbs a dead holder's
-// traffic and rebuilt chunks: the next live, reachable member in group
-// order. The LRC family prefers a member in the dead holder's own rack
-// — an in-rack adopter is what lets the local-XOR repair plan rebuild
-// the chunk without any spine traffic.
-func (g *ecGroup) adopter(holder int) *instance {
-	n := len(g.insts)
-	if g.hasLocalParity() {
-		rack := g.insts[holder].server.rackIdx
-		for i := 1; i < n; i++ {
-			m := g.insts[(holder+i)%n]
-			if m.server.reachable() && m.server.rackIdx == rack {
-				return m
-			}
-		}
-	}
-	for i := 1; i < n; i++ {
-		m := g.insts[(holder+i)%n]
-		if m.server.reachable() {
-			return m
-		}
-	}
-	return nil
-}
-
-// readSources orders the chunk sources for a degraded reconstruction
-// rack-local-first: the coordinator's own chunk (free of network hops),
-// then idle survivors in the coordinator's rack, then idle survivors in
-// other racks — which cost spine latency and metered cross-rack
-// bandwidth — and collecting survivors last. Every global member holds
-// exactly one chunk of every stripe, so any k of them suffice; the
-// ordering means the read spills onto the cross-rack link only when its
-// own rack cannot muster k healthy chunks. Holders with a rebuild
-// outstanding are never sources: a revived-but-catching-up member is
-// blank. Local parity holders never join an RS decode — their chunk is
-// a rack-local XOR, not a generator row — so only global members (and a
-// global coordinator) qualify. The slice is the group's readBuf scratch.
-func (g *ecGroup) readSources(coord *instance, now sim.Time) []*instance {
-	width := g.spec.Width()
-	out := g.readBuf[:0]
-	if ci, ok := g.holderIndex(coord.id); ok && ci < width {
-		out = append(out, coord)
-	}
-	// One pass per class keeps each class in member order: idle
-	// rack-local survivors, then idle remote ones, then collecting ones.
-	const local, remote, busy = 0, 1, 2
-	for class := local; class <= busy; class++ {
-		for i, m := range g.insts[:width] {
-			if m == coord || !g.source(i) {
-				continue
-			}
-			c := local
-			switch {
-			case m.v.InGC(now):
-				c = busy
-			case m.server.rackIdx != coord.server.rackIdx:
-				c = remote
-			}
-			if c == class {
-				out = append(out, m)
-			}
-		}
-	}
-	g.readBuf = out
-	return out
-}
-
-// localPlan collects the zero-spine LRC plan for rebuilding member
-// lost's chunk: the XOR of every other member of its rack (global chunks
-// plus the local parity), led by first when non-nil (a degraded read's
-// coordinator). It appends to buf[:0] and reports whether every one of
-// those members is a source; the caller keeps the returned slice as its
-// scratch either way.
-func (g *ecGroup) localPlan(buf []*instance, lost int, first *instance) ([]*instance, bool) {
-	out := buf[:0]
-	if first != nil {
-		out = append(out, first)
-	}
-	rack := g.insts[lost].server.rackIdx
-	for j, m := range g.insts {
-		if m.server.rackIdx != rack || m == first || j == lost {
-			continue
-		}
-		if !g.source(j) {
-			return out, false
-		}
-		out = append(out, m)
-	}
-	return out, true
-}
-
-// degradedSources picks the reconstruction plan for a degraded read at
-// coordinator coord: under the LRC family, when the home holder's rack
-// contains the coordinator, the rack-local XOR plan (localPlan) needs no
-// cross-rack fetch at all. Otherwise it falls back to the global RS
-// decode from any k global survivors (readSources order). It returns
-// the sources, how many are needed, and whether the rack-local plan was
-// chosen.
-func (g *ecGroup) degradedSources(coord *instance, homeID uint32, now sim.Time) ([]*instance, int, bool) {
-	if g.hasLocalParity() {
-		if hIdx, ok := g.holderIndex(homeID); ok &&
-			g.insts[hIdx] != coord && g.insts[hIdx].server.rackIdx == coord.server.rackIdx {
-			local, complete := g.localPlan(g.readBuf, hIdx, coord)
-			g.readBuf = local
-			if complete {
-				return local, len(local), true
-			}
-		}
-	}
-	return g.readSources(coord, now), g.spec.K, false
-}
-
-// repairSources picks the survivor set for rebuilding one lost holder
-// onto adopter. Under the LRC family, when the adopter sits in the lost
-// holder's own rack, the rack-local XOR plan (localPlan) applies; the
-// returned bool reports it. Otherwise the global plan applies: the
-// adopter's own chunk first (unless it is the blank rebuild target),
-// then rack-local global survivors, then remote ones, k in total —
-// local parity holders never feed an RS decode. The slice is the group's
-// repairBuf scratch, valid until the next repairSources call.
-func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, bool) {
-	if g.hasLocalParity() && adopter.server.rackIdx == g.insts[holder].server.rackIdx {
-		local, complete := g.localPlan(g.repairBuf, holder, nil)
-		g.repairBuf = local
-		if complete {
-			return local, true
-		}
-	}
-	width := g.spec.Width()
-	sources := g.repairBuf[:0]
-	if ai, ok := g.holderIndex(adopter.id); ok && ai < width && adopter != g.insts[holder] {
-		sources = append(sources, adopter)
-	}
-	for pass := 0; pass < 2; pass++ {
-		for j, m := range g.insts[:width] {
-			if len(sources) == g.spec.K {
-				break
-			}
-			if m == adopter || j == holder || !g.source(j) {
-				continue
-			}
-			local := m.server.rackIdx == adopter.server.rackIdx
-			if (pass == 0) != local {
-				continue
-			}
-			sources = append(sources, m)
-		}
-	}
-	g.repairBuf = sources
-	return sources, false
 }
 
 // issueEC sends one request from an erasure-coded volume's generator and
@@ -522,45 +345,34 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 	// asserts stays at zero. Holders isolated by a dark ToR are not
 	// counted: no repair was queued for them, so there is nothing to
 	// have re-integrated.
-	if hIdx, ok := g.holderIndex(st.homeID); ok && g.crashed[hIdx] &&
-		g.reintegrated() && st.issue > g.reintegratedAt {
-		repl := g.replacement[hIdx]
-		if repl == nil || (repl.server.reachable() && !repl.v.InGC(now)) {
+	home, _ := g.holderIndex(st.homeID)
+	coord, _ := g.holderIndex(inst.id)
+	if g.chunks.Crashed(home) && g.chunks.Reintegrated() && st.issue > g.reintegratedAt {
+		rp := g.chunks.Replacement(home)
+		if rp < 0 || (g.insts[rp].server.reachable() && !g.insts[rp].v.InGC(now)) {
 			r.res.DegradedReadsPostRepair++
 		}
 	}
 
-	sources, needed, localPlan := g.degradedSources(inst, st.homeID, now)
+	sources, localPlan := g.chunks.Sources(g.readBuf, home, coord, r.serverReachable,
+		func(pos int) bool { return g.insts[pos].v.InGC(now) })
+	g.readBuf = sources
 	if localPlan {
 		r.res.LocalDegradedReads++
-	} else if len(sources) < needed {
+	} else if len(sources) < g.spec.K {
 		// More failures than parity: the stripe cannot be reconstructed
 		// right now. Serve the local chunk so the request terminates, and
 		// surface the loss in the counters (ec.ErrStripeUnrecoverable is
 		// the library-level twin of this path).
 		r.res.UnrecoverableReads++
 		if len(sources) == 0 {
-			sources = append(sources, inst)
+			sources = append(sources, coord)
 		} else {
 			sources = sources[:1]
 		}
 	} else {
-		sources = sources[:needed]
+		sources = sources[:g.spec.K]
 	}
-	// Under the LRC family a global fallback decode still ships
-	// aggregates: each remote rack folds its survivors into one partial
-	// sum locally, and only the rack's designated shipper — its first
-	// source — pays the spine for one chunk.
-	var shipper []*instance
-	if g.hasLocalParity() && !localPlan {
-		shipper = r.rackScratch()
-		for _, src := range sources {
-			if rk := src.server.rackIdx; rk != inst.server.rackIdx && shipper[rk] == nil {
-				shipper[rk] = src
-			}
-		}
-	}
-
 	var recSpan *trace.Span
 	if st.span != nil {
 		recSpan = st.span.Child("reconstruct", now)
@@ -577,11 +389,16 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 	dr := r.newDegradedRead(degradedRead{
 		inst: inst, req: req, stripe: stripe, recSpan: recSpan, remaining: len(sources),
 	})
-	for _, src := range sources {
+	for i, pos := range sources {
+		src := g.insts[pos]
 		f := r.newChunkFetch(chunkFetch{dr: dr, src: src})
 		if src.server.rackIdx != inst.server.rackIdx {
 			f.route = fetchSpine
-			if shipper != nil && shipper[src.server.rackIdx] != src {
+			// Under the LRC family a global fallback decode still ships
+			// aggregates: each remote rack folds its sources into one
+			// partial sum locally, and only its first source pays the
+			// spine for one chunk.
+			if g.hasLocalParity() && g.chunks.RackIn(sources[:i], src.server.rackIdx) {
 				f.route = fetchFeed
 			}
 		}
@@ -595,7 +412,6 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 			r.eng.AfterHandler(out, r.lbl.chunkRead, f)
 		}
 	}
-	clear(shipper)
 }
 
 // scheduleRepair arms the group's repair pump one monitor period out.
@@ -650,8 +466,8 @@ func (r *Rack) repairPump(g *ecGroup) {
 	// A zero-spine local-XOR plan (LRC, in-rack adopter, healthy rack)
 	// moves no cross-rack bytes, so it claims no spine tokens: it runs
 	// immediately instead of idling the rack behind the admission lane.
-	if adopter := g.adopterFor[task.Holder]; adopter != nil && adopter.server.reachable() {
-		if _, local := g.repairSources(task.Holder, adopter); local {
+	if t := g.chunks.Target(task.Holder); t >= 0 && g.insts[t].server.reachable() {
+		if _, local, _ := g.repairPlan(task.Holder, t); local {
 			r.runRepairTask(g, task, 0)
 			return
 		}
@@ -689,20 +505,21 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 	// restarts from scratch onto a fresh adopter — counting the dead
 	// adopter's batches toward completion would register a replacement
 	// that never received the early chunks.
-	adopter := g.adopterFor[task.Holder]
-	if adopter == nil || !adopter.server.reachable() {
+	target := g.chunks.Target(task.Holder)
+	if target < 0 || !g.insts[target].server.reachable() {
 		g.repairInFlight = false
 		if r.pacer != nil {
 			r.pacer.settle(charged, 0) // refund: nothing moved
 		}
-		if next := g.adopter(task.Holder); next != nil {
+		if next := g.chunks.Adopter(task.Holder, r.serverReachable); next >= 0 {
 			r.enqueueHolderRepair(g, task.Holder, next)
 		}
 		// With no reachable member left there is nothing to rebuild
 		// onto; the unrecoverable-read counter exposes the loss.
 		return
 	}
-	sources, localPlan := g.repairSources(task.Holder, adopter)
+	adopter := g.insts[target]
+	sources, localPlan, cross := g.repairPlan(task.Holder, target)
 	if !localPlan && len(sources) < g.spec.K {
 		// Unrecoverable with the current survivors: drop the task; the
 		// unrecoverable-read counter already exposes the data loss.
@@ -723,35 +540,25 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 		trace.Int("stripes", int64(task.Stripes)))
 
 	var end sim.Time
-	var crossBytes int64
 	readDur := sim.Time(task.Stripes) * r.cfg.Device.ReadPage
-	// shipped marks the remote racks whose aggregate already crossed.
-	shipped := r.rackScratch()
-	aggregated := false
-	for _, src := range sources {
-		chs := src.v.Channels()
-		_, e := src.server.dev.OccupyChannel(chs[task.FirstStripe%len(chs)], readDur)
-		if src.server.rackIdx != adopter.server.rackIdx {
-			// The batch crosses the spine: meter it on the shared link.
-			// Under LRC the remote rack combines its survivors locally
-			// first and ships one aggregate per rack, not one per source.
-			if !g.hasLocalParity() || shipped[src.server.rackIdx] == nil {
-				shipped[src.server.rackIdx] = src
-				aggregated = true
-				crossBytes += batchBytes
-				if _, te := r.spine.CrossFetch(batchBytes, nil); te+r.spine.Propagation() > e {
-					e = te + r.spine.Propagation()
-				}
-			}
-		}
-		if e > end {
+	for _, pos := range sources {
+		chs := g.insts[pos].v.Channels()
+		if _, e := g.insts[pos].server.dev.OccupyChannel(chs[task.FirstStripe%len(chs)], readDur); e > end {
 			end = e
 		}
 	}
-	clear(shipped)
+	// Each batch crossing the spine is metered on the shared link: one
+	// per remote source, or under LRC one aggregate per remote rack,
+	// which combines its survivors locally first.
+	crossBytes := int64(cross) * batchBytes
+	for range cross {
+		if _, te := r.spine.CrossFetch(batchBytes, nil); te+r.spine.Propagation() > end {
+			end = te + r.spine.Propagation()
+		}
+	}
 	if localPlan {
 		r.res.LocalRepairStripes += int64(task.Stripes)
-	} else if g.hasLocalParity() && aggregated {
+	} else if g.hasLocalParity() && cross > 0 {
 		r.res.AggregatedRepairStripes += int64(task.Stripes)
 	}
 	if r.pacer != nil {
@@ -798,10 +605,7 @@ func (r *Rack) repairTaskDone(g *ecGroup, task ec.RepairTask, sp *trace.Span, cr
 func (r *Rack) reintegrate(g *ecGroup, holder int) {
 	// Register the member the repair actually rebuilt onto — never
 	// recomputed, so the replacement always holds the chunks.
-	adopter := g.adopterFor[holder]
-	if adopter == nil {
-		return // everyone died since the repair was queued
-	}
+	adopter := g.insts[g.chunks.Target(holder)]
 	restored := adopter == g.insts[holder]
 	oldID, newID := g.insts[holder].id, adopter.id
 	// The control-plane updates below are deferred by propagation delay;
@@ -827,21 +631,15 @@ func (r *Rack) reintegrate(g *ecGroup, holder int) {
 		if !fresh() {
 			return
 		}
-		g.replacement[holder] = adopter
-		if g.repairing[holder] {
-			g.repairing[holder] = false
-			g.reintegratedHolders++
-		}
+		g.chunks.Reintegrate(holder)
 		g.reintegratedAt = r.eng.Now()
 		// Every holder stores one chunk of each of the group's
 		// usedStripes stripes, so one completed holder re-integrates
 		// exactly that many.
 		r.res.ReintegratedStripes += int64(g.usedStripes)
-		if restored {
-			r.res.RestoredHolders++
-		}
 		mode := "replacement"
 		if restored {
+			r.res.RestoredHolders++
 			mode = "restored"
 		}
 		r.tracer.Instant("repair", "reintegrate", r.eng.Now(),

@@ -222,16 +222,6 @@ func (ev *ioStep) run() {
 	}
 }
 
-// rackScratch returns the rack's per-fault-domain scratch, one nil slot
-// per rack. The caller must clear it before returning and may not hold
-// it across anything that could call rackScratch again.
-func (r *Rack) rackScratch() []*instance {
-	if len(r.perRack) < len(r.tors) {
-		r.perRack = make([]*instance, len(r.tors))
-	}
-	return r.perRack
-}
-
 // degradedRead is one reconstruction in flight at a coordinator: it
 // counts down the chunk fetches still outstanding, then is its own
 // ec.decode event.

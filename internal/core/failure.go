@@ -36,6 +36,10 @@ func (s *server) reachable() bool {
 	return !s.failed && !s.rack.torFailed[s.rackIdx]
 }
 
+// serverReachable is reachable by global server index, the liveness
+// ec.ChunkMap's source and adopter queries take.
+func (r *Rack) serverReachable(idx int) bool { return r.servers[idx].reachable() }
+
 // failToR takes one rack's ToR down at the injection instant.
 func (r *Rack) failToR(rack int) {
 	r.torFailed[rack] = true
@@ -125,18 +129,15 @@ func (r *Rack) onServerDetectedDead(dead *server) {
 			if inst.server != dead {
 				continue
 			}
-			adopter := g.adopter(i)
-			if adopter == nil {
+			adopter := g.chunks.Adopter(i, r.serverReachable)
+			if adopter < 0 {
 				continue // whole group lost
 			}
-			r.installFailover(inst, adopter, nil)
+			r.installFailover(inst, g.insts[adopter], nil)
 			r.propagateMemberDead(g, inst)
-			g.crashed[i] = true
-			if g.replacement[i] == inst {
-				// The holder had been restored onto this very server; its
-				// rebuilt chunks are gone with it.
-				g.replacement[i] = nil
-			}
+			// A holder restored onto this very server loses its rebuilt
+			// chunks with it.
+			g.chunks.Lose(i, dead.index)
 			r.enqueueHolderRepair(g, i, adopter)
 		}
 		// The dead server may also hold re-integrated replacement chunks
@@ -144,32 +145,23 @@ func (r *Rack) onServerDetectedDead(dead *server) {
 		// it, so the holders degrade again and their repair restarts onto
 		// a fresh adopter.
 		for i := range g.insts {
-			repl := g.replacement[i]
-			if repl == nil || repl.server != dead || repl == g.insts[i] {
+			if rp := g.chunks.Replacement(i); rp < 0 || rp == i || g.insts[rp].server != dead {
 				continue
 			}
-			g.replacement[i] = nil
-			adopter := g.adopter(i)
-			if adopter == nil {
-				continue
+			g.chunks.Lose(i, dead.index)
+			if adopter := g.chunks.Adopter(i, r.serverReachable); adopter >= 0 {
+				r.enqueueHolderRepair(g, i, adopter)
 			}
-			r.enqueueHolderRepair(g, i, adopter)
 		}
 	}
 }
 
 // enqueueHolderRepair (re)queues the full reconstruction of one lost
-// holder onto the given adopter, discarding any progress a previous
-// repair generation had made (the chunks it rebuilt are lost or stale),
-// and arms the repair pump. The repairing flag keeps the group's
-// failed/reintegrated holder accounting balanced across repeated
-// fail/heal cycles.
-func (r *Rack) enqueueHolderRepair(g *ecGroup, holder int, adopter *instance) {
-	g.adopterFor[holder] = adopter
-	if !g.repairing[holder] {
-		g.repairing[holder] = true
-		g.failedHolders++
-	}
+// holder onto member adopter, discarding any progress a previous repair
+// generation had made (the chunks it rebuilt are lost or stale), and
+// arms the repair pump.
+func (r *Rack) enqueueHolderRepair(g *ecGroup, holder, adopter int) {
+	g.chunks.Enqueue(holder, adopter)
 	g.recon.Reset(holder)
 	g.recon.EnqueueChunk(holder, g.usedStripes, repairBatchStripes)
 	r.scheduleRepair(g)
@@ -266,8 +258,8 @@ func (r *Rack) onToRDetectedDead(rackIdx int) {
 			if inst.server.rackIdx != rackIdx {
 				continue
 			}
-			if adopter := g.adopter(i); adopter != nil {
-				r.installFailover(inst, adopter, g.tors)
+			if adopter := g.chunks.Adopter(i, r.serverReachable); adopter >= 0 {
+				r.installFailover(inst, g.insts[adopter], g.tors)
 				r.propagateMemberDead(g, inst)
 			}
 		}
@@ -334,7 +326,8 @@ func (r *Rack) replayToR(rackIdx int) {
 		ids, racks := g.memberTable()
 		tor.RegisterStripeMembers(ids, racks)
 		for i, m := range g.insts {
-			if repl := g.replacement[i]; repl != nil {
+			if rp := g.chunks.Replacement(i); rp >= 0 {
+				repl := g.insts[rp]
 				tor.RegisterDest(repl.id, repl.server.ip)
 				tor.ReplaceStripeMember(m.id, repl.id)
 				continue
@@ -343,7 +336,8 @@ func (r *Rack) replayToR(rackIdx int) {
 				continue
 			}
 			if m.server.rackIdx == rackIdx {
-				if adopter := g.adopter(i); adopter != nil {
+				if a := g.chunks.Adopter(i, r.serverReachable); a >= 0 {
+					adopter := g.insts[a]
 					tor.RegisterDest(adopter.id, adopter.server.ip)
 					tor.Failover(m.id, adopter.id)
 				}
@@ -410,13 +404,13 @@ func (r *Rack) onServerRevived(srv *server) {
 	}
 	for _, g := range r.groups {
 		for i, inst := range g.insts {
-			if inst.server != srv || !g.crashed[i] {
+			if inst.server != srv || !g.chunks.Crashed(i) {
 				continue
 			}
 			// Catch-up repair: the returning holder is blank, so its full
 			// chunk set is rebuilt onto it from scratch — whatever a
 			// previous adopter had absorbed is superseded.
-			r.enqueueHolderRepair(g, i, inst)
+			r.enqueueHolderRepair(g, i, i)
 		}
 	}
 }

@@ -159,8 +159,7 @@ type Rack struct {
 	// hops, server steps, server queue entries, request states,
 	// degraded reads and their chunk fetches, repair grants and
 	// completions, gc_op reply timers and GC burst ends (events.go,
-	// gc.go). perRack is
-	// per-rack scratch (rackScratch).
+	// gc.go).
 	lbl           labels
 	freeHops      sim.FreeList[hopEvent]
 	freeIO        sim.FreeList[ioStep]
@@ -171,7 +170,6 @@ type Rack struct {
 	freeRepairs   sim.FreeList[repairStep]
 	freeGCTimers  sim.FreeList[gcOpTimeout]
 	freeBurstEnds sim.FreeList[gcBurstEnd]
-	perRack       []*instance
 	net           *netsim.Network
 
 	// tors holds one ToR switch per rack, sharing the rack's forwarding

@@ -190,40 +190,8 @@ func (r *Rack) Run() *Result {
 		res.RepairedStripes += int64(g.recon.RepairedStripes())
 		res.RepairPending += int64(g.recon.Pending())
 		res.RepairDelayed += int64(g.recon.DelayCount())
-		// A stripe with fewer than k effectively-alive global chunks is
-		// data loss: every global member holds one chunk of every
-		// stripe. Under the LRC family a rack whose only casualty is a
-		// single global member still contributes that chunk — it is
-		// locally recoverable from the rack's survivors plus its local
-		// parity — so it counts as alive for durability.
-		width := g.spec.Width()
-		alive := 0
-		if g.hasLocalParity() {
-			deadByRack := make(map[int]int)
-			deadGlobalByRack := make(map[int]int)
-			for i, m := range g.insts {
-				if m.server.failed {
-					deadByRack[m.server.rackIdx]++
-					if i < width {
-						deadGlobalByRack[m.server.rackIdx]++
-					}
-				}
-			}
-			for _, m := range g.insts[:width] {
-				rack := m.server.rackIdx
-				if !m.server.failed ||
-					(deadByRack[rack] == 1 && deadGlobalByRack[rack] == 1) {
-					alive++
-				}
-			}
-		} else {
-			for _, m := range g.insts {
-				if !m.server.failed {
-					alive++
-				}
-			}
-		}
-		if alive < g.spec.K {
+		// Durability counts crashed servers only: a dark ToR loses no data.
+		if !g.chunks.Recoverable(func(s int) bool { return r.servers[s].failed }) {
 			res.UnrecoverableStripes += int64(g.usedStripes)
 		}
 	}

@@ -301,7 +301,7 @@ func adopterCrashConfig(t testing.TB) (cfg Config, groupIdx, holder int) {
 		for i, inst := range g.insts {
 			if inst.server.index == 0 {
 				groupIdx, holder = gi, i
-				adopterSrv = g.adopter(i).server.index
+				adopterSrv = g.insts[g.chunks.Adopter(i, probe.serverReachable)].server.index
 			}
 		}
 	}
@@ -332,7 +332,7 @@ func TestAdopterCrashMidRepairRestartsRebuild(t *testing.T) {
 	if gen := g.recon.Gen(holder); gen < 2 {
 		t.Fatalf("holder %d repair generation = %d, want >= 2 (restart after adopter death)", holder, gen)
 	}
-	if repl := g.replacement[holder]; repl == nil || !repl.server.reachable() {
+	if rp := g.chunks.Replacement(holder); rp < 0 || !g.insts[rp].server.reachable() {
 		t.Fatalf("holder %d replacement missing or unreachable after restart", holder)
 	}
 	if res.RepairPending != 0 {
