@@ -202,9 +202,6 @@ func (n *Node) settle(pw *pendingWrite) {
 // CanRead reports whether this replica may serve a local read of lpn.
 func (n *Node) CanRead(lpn uint32) bool { return n.key(lpn).st == Valid }
 
-// KeyState exposes the replica state of a key (tests, introspection).
-func (n *Node) KeyState(lpn uint32) State { return n.key(lpn).st }
-
 // Write starts a coordinator write of lpn at this node. onCommit fires
 // once every replica has acknowledged the invalidation (the Hermes commit
 // point). A second write to the same key before commit supersedes the

@@ -16,7 +16,6 @@ type Resource struct {
 	busyUntil Time
 	// busy tracks cumulative busy time, for utilization reporting.
 	busy Time
-	ops  uint64
 }
 
 // NewResource returns an idle serial resource bound to eng.
@@ -51,9 +50,6 @@ func (r *Resource) Utilization() float64 {
 	return float64(b) / float64(r.eng.Now())
 }
 
-// Ops returns the number of completed or reserved operations.
-func (r *Resource) Ops() uint64 { return r.ops }
-
 // Acquire reserves the resource for dur and schedules done at end, where
 // it fires with now == end; done may be nil when only the reservation
 // matters. Callers that need the window read it from the return values.
@@ -65,7 +61,6 @@ func (r *Resource) Acquire(dur Time, done Handler) (start, end Time) {
 	end = start + dur
 	r.busyUntil = end
 	r.busy += dur
-	r.ops++
 	if done != nil {
 		r.eng.AtHandler(end, r.doneLabel, done)
 	}
