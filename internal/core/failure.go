@@ -467,5 +467,10 @@ func (r *Rack) timeout(seq uint64) {
 	if !st.write {
 		r.res.LostReads++
 	}
+	now := r.eng.Now()
+	st.span.Phase("retransmit", st.lastIssue-st.issue)
+	st.span.Phase("lost", now-st.lastIssue)
+	st.span.Annotate(trace.String("status", "lost"), trace.Int("retries", int64(st.retries)))
+	st.span.Abandon(now)
 	r.freeStates.Put(st) // r.reqs was its only holder
 }

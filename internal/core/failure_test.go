@@ -6,6 +6,7 @@ import (
 
 	"rackblox/internal/sim"
 	"rackblox/internal/stats"
+	"rackblox/internal/trace"
 )
 
 // failConfig injects a crash of server 0 a third of the way into the run.
@@ -153,5 +154,68 @@ func TestFailureOfReplicaServerOnly(t *testing.T) {
 	}
 	if res.Recorder.Len() < 5000 {
 		t.Fatalf("only %d samples", res.Recorder.Len())
+	}
+}
+
+// TestLostRequestSpansAreKept: a request the client gives up on ends
+// its root span with status=lost and its retry count, and the flight
+// recorder keeps it even when head sampling would drop it — one kept
+// span per lost request. Tracing stays observer-only: the traced run
+// loses exactly the requests the plain one does.
+func TestLostRequestSpansAreKept(t *testing.T) {
+	// Both ToRs of a two-rack RS(2,2) cluster go dark for good: every
+	// erasure-coded request retries until it gives up.
+	dark := DefaultConfig()
+	dark.Racks, dark.StorageServers = 2, 3
+	dark.Redundancy, dark.Placement = ErasureCode(2, 2), PlacementSpread
+	dark.Warmup, dark.Duration = 20*sim.Millisecond, 300*sim.Millisecond
+	dark.Scenario = []Event{FailToR(0, 60*sim.Millisecond), FailToR(1, 60*sim.Millisecond)}
+	for name, cfg := range map[string]Config{
+		"replicated":        failConfig(),
+		"rs-both-tors-dark": dark,
+	} {
+		t.Run(name, func(t *testing.T) {
+			plain, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Trace = trace.Options{Enabled: true, SampleEvery: 1 << 30, TailKeep: 1}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.LostReads == 0 || res.LostRequests != plain.LostRequests || res.Events != plain.Events {
+				t.Fatalf("lost reads %d, lost requests %d (plain %d), events %d (plain %d)",
+					res.LostReads, res.LostRequests, plain.LostRequests, res.Events, plain.Events)
+			}
+			var lost, retried int64
+			for _, sp := range res.Trace.Spans {
+				status, retries := "", int64(-1)
+				for _, a := range sp.Attrs {
+					switch a.Key {
+					case "status":
+						status = a.Str
+					case "retries":
+						retries = a.Int
+					}
+				}
+				if status != "lost" {
+					continue
+				}
+				lost++
+				if retries < 0 {
+					t.Fatalf("lost span %d carries no retry count", sp.Key)
+				}
+				if retries > 0 {
+					retried++
+				}
+			}
+			if lost != res.LostRequests {
+				t.Fatalf("%d lost spans kept for %d lost requests", lost, res.LostRequests)
+			}
+			if cfg.Redundancy.erasure() && retried == 0 {
+				t.Fatal("no lost erasure-coded request records its retries")
+			}
+		})
 	}
 }

@@ -101,6 +101,8 @@ type Span struct {
 	Children []*Span  `json:"children,omitempty"`
 
 	tracer *Tracer
+	// lost marks a request span closed by Abandon.
+	lost bool
 }
 
 // Dur returns the span's duration.
@@ -158,6 +160,22 @@ func (s *Span) Finish(t sim.Time) {
 	s.End = t
 	if s.tracer != nil {
 		s.tracer.finishRoot(s)
+	}
+}
+
+// Abandon closes a root request span at t whose request the client gave
+// up on and keeps it whatever the sampling: lost requests are rare, and
+// explaining them is what the trace is for. It stays out of the read
+// statistics and the tail attribution, which cover completed reads.
+func (s *Span) Abandon(t sim.Time) {
+	if s == nil {
+		return
+	}
+	s.End = t
+	s.lost = true
+	if s.tracer != nil {
+		s.tracer.kept = append(s.tracer.kept, s)
+		s.tracer = nil
 	}
 }
 
@@ -425,7 +443,7 @@ func (tr *Trace) TailAttribution(frac float64) []PhaseShare {
 
 	tail := make([]*Span, 0, n)
 	for _, s := range tr.Spans {
-		if s.Kind == "read" && int64(s.Dur()) >= threshold {
+		if s.Kind == "read" && !s.lost && int64(s.Dur()) >= threshold {
 			tail = append(tail, s)
 		}
 	}

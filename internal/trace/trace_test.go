@@ -228,6 +228,42 @@ func TestTailAttributionThresholdCountsUnkeptReads(t *testing.T) {
 	}
 }
 
+func TestAbandonedSpansAlwaysKeptOutsideReadStats(t *testing.T) {
+	// No head sample and a one-slot reservoir: only Abandon keeps the
+	// lost reads, and they must not enter the read count or the tail.
+	tr := New(Options{Enabled: true, SampleEvery: 1 << 30, TailKeep: 1})
+	for key := uint64(1); key <= 10; key++ {
+		sp := tr.StartRequest(key, "read", 0)
+		sp.Phase("device", 10)
+		sp.Finish(10)
+	}
+	for key := uint64(11); key <= 13; key++ {
+		sp := tr.StartRequest(key, "read", 0)
+		sp.Phase("lost", 1000)
+		sp.Annotate(String("status", "lost"))
+		sp.Abandon(1000)
+	}
+	trace := tr.Collect()
+	if trace.TotalReads != 10 {
+		t.Fatalf("TotalReads = %d, want the 10 completed reads", trace.TotalReads)
+	}
+	lost := 0
+	for _, s := range trace.Spans {
+		if s.Dur() == 1000 {
+			lost++
+		}
+	}
+	if lost != 3 {
+		t.Fatalf("%d of 3 abandoned spans kept", lost)
+	}
+	shares := trace.TailAttribution(0.1)
+	if len(shares) != 1 || shares[0].Phase != "device" {
+		t.Fatalf("shares = %+v, want the completed reads' device phase only", shares)
+	}
+	var nilSpan *Span
+	nilSpan.Abandon(5) // nil-safe like every span method
+}
+
 func TestCollectOrdersSpansByStartThenKey(t *testing.T) {
 	tr := New(Options{Enabled: true, SampleEvery: 1})
 	starts := []sim.Time{30, 10, 20, 10}
