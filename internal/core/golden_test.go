@@ -12,6 +12,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"rackblox/internal/sim"
+	"rackblox/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_results.txt from this run")
@@ -27,6 +30,12 @@ const goldenFile = "testdata/golden_results.txt"
 // these hashes first.
 func goldenConfigs(t *testing.T) map[string]Config {
 	adopterCrash, _, _ := adopterCrashConfig(t)
+	// The repair gate's run traced and metered pins the repair queue's
+	// recon_* instants and the repair_backlog gauge, which no other
+	// Result field records.
+	traced := repairGateConfig()
+	traced.Trace = trace.Options{Enabled: true}
+	traced.MetricsInterval = 5 * sim.Millisecond
 	cfgs := map[string]Config{
 		"rs-gc-degraded":      ecGCConfig(),
 		"rs-m-crash":          ecMCrashConfig(),
@@ -40,6 +49,7 @@ func goldenConfigs(t *testing.T) map[string]Config {
 		"lrc-rack-crash":      lrcRackCrashConfig(),
 		"lrc-one-per-rack":    lrcOnePerRackCrashConfig(),
 		"lrc-repair-gate":     repairGateConfig(),
+		"lrc-repair-traced":   traced,
 	}
 	for _, tc := range controlPlaneCases() {
 		cfgs["cp-"+tc.name] = tc.cfg()
