@@ -28,7 +28,7 @@ const (
 
 // ecGroup is one erasure-coded volume: k data + m parity chunk holders
 // placed on distinct servers, with the client-side generator and the
-// background reconstructor that repairs lost chunks in GC idle windows.
+// chunk map whose repair queue the pump drains in GC idle windows.
 // Under the LRC family (Config.Redundancy LocalParityCoded) the member
 // list extends past the k+m global holders with one local parity holder
 // per occupied rack — the XOR of that rack's global chunks — enabling
@@ -53,16 +53,19 @@ type ecGroup struct {
 	// touches; reconstruction of a lost chunk covers exactly these.
 	usedStripes int
 
-	recon          *ec.Reconstructor
+	// repairArmed marks a repairPump event scheduled; repairInFlight a
+	// claimed task not yet landed (waiting for pacer tokens or running).
 	repairArmed    bool
 	repairInFlight bool
 
-	// chunks maps insts' positions to servers and tracks each holder's
-	// repair: its crash, the member its rebuild is pinned to (so a
-	// reachability change mid-repair cannot desynchronize where the
-	// chunks landed from where reads are steered afterwards) and, once
-	// re-integrated, the replacement that serves its chunks directly.
-	// reintegratedAt is when the last outstanding holder completed.
+	// chunks maps insts' positions to servers and keeps the group's
+	// repair queue and each holder's repair record: its crash, the
+	// member its rebuild is pinned to (so a reachability change
+	// mid-repair cannot desynchronize where the chunks landed from
+	// where reads are steered afterwards), the stripes left and the
+	// repair generation and, once re-integrated, the replacement that
+	// serves its chunks directly. reintegratedAt is when the last
+	// outstanding holder completed.
 	chunks         ec.ChunkMap
 	reintegratedAt sim.Time
 
@@ -133,7 +136,6 @@ func (r *Rack) buildGroups() error {
 			idx:     gidx,
 			spec:    spec,
 			striper: ec.Striper{Spec: spec},
-			recon:   ec.NewReconstructor(),
 		}
 		servers := placer.Place(gidx)
 		if cfg.Redundancy.localParity() {
@@ -434,7 +436,7 @@ func (r *Rack) scheduleRepair(g *ecGroup) {
 // repair also never holds the foreground tail above the SLO target.
 func (r *Rack) repairPump(g *ecGroup) {
 	g.repairArmed = false
-	if g.repairInFlight || g.recon.Pending() == 0 {
+	if g.repairInFlight || g.chunks.Pending() == 0 {
 		return
 	}
 	for _, m := range g.insts {
@@ -442,7 +444,7 @@ func (r *Rack) repairPump(g *ecGroup) {
 			continue
 		}
 		if r.torOf(m.server).GCStatus(m.id) {
-			g.recon.Delayed()
+			r.res.RepairDelayed++
 			r.scheduleRepair(g)
 			return
 		}
@@ -454,7 +456,7 @@ func (r *Rack) repairPump(g *ecGroup) {
 	if r.pacer != nil {
 		limit = r.pacer.batchStripes()
 	}
-	task, ok := g.recon.NextUpTo(limit)
+	task, ok := g.chunks.Claim(limit)
 	if !ok {
 		return
 	}
@@ -584,7 +586,7 @@ func (r *Rack) repairTaskDone(g *ecGroup, task ec.RepairTask, sp *trace.Span, cr
 	sp.Annotate(trace.Int("cross_bytes", crossBytes))
 	sp.Finish(now)
 	r.res.RepairCompletionTime = now
-	if g.recon.Done(task) {
+	if g.chunks.Done(task) {
 		r.reintegrate(g, task.Holder)
 	}
 	g.repairInFlight = false
@@ -592,7 +594,7 @@ func (r *Rack) repairTaskDone(g *ecGroup, task ec.RepairTask, sp *trace.Span, cr
 }
 
 // reintegrate closes the repair loop for one fully rebuilt holder: the
-// member the reconstructor rebuilt onto becomes the holder's
+// member the repair rebuilt onto becomes the holder's
 // replacement. The client's volume map updates immediately (new reads
 // and writes go to the replacement directly), and after the
 // control-plane propagation delay every ToR serving the group updates
@@ -611,8 +613,8 @@ func (r *Rack) reintegrate(g *ecGroup, holder int) {
 	// The control-plane updates below are deferred by propagation delay;
 	// if the holder is lost again meanwhile (its repair generation moves
 	// on), the stale registrations must not land.
-	gen := g.recon.Gen(holder)
-	fresh := func() bool { return g.recon.Gen(holder) == gen }
+	gen := g.chunks.Gen(holder)
+	fresh := func() bool { return g.chunks.Gen(holder) == gen }
 	last := r.control("ec.reintegrate", adopter.server.rackIdx, g.tors, func(tor *switchsim.Switch) {
 		if !fresh() {
 			return

@@ -161,9 +161,7 @@ func (r *Rack) onServerDetectedDead(dead *server) {
 // generation had made (the chunks it rebuilt are lost or stale), and
 // arms the repair pump.
 func (r *Rack) enqueueHolderRepair(g *ecGroup, holder, adopter int) {
-	g.chunks.Enqueue(holder, adopter)
-	g.recon.Reset(holder)
-	g.recon.EnqueueChunk(holder, g.usedStripes, repairBatchStripes)
+	g.chunks.Enqueue(holder, adopter, g.usedStripes, repairBatchStripes)
 	r.scheduleRepair(g)
 }
 

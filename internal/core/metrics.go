@@ -33,7 +33,7 @@ func (r *Rack) startMetrics() {
 	ts.Gauge("repair_backlog", func() float64 {
 		n := 0
 		for _, g := range r.groups {
-			n += g.recon.Pending()
+			n += g.chunks.Pending()
 		}
 		return float64(n)
 	})

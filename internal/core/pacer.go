@@ -20,8 +20,8 @@ import (
 // spine — foreground transfers keep their FIFO access to the link while
 // repair batches wait for tokens that refill at the controller's rate —
 // and enqueued repair batches are split to token-sized transfers
-// (ec.Reconstructor.NextUpTo) so one batch cannot monopolize the link in
-// a single burst.
+// (ec.ChunkMap.Claim) so one batch cannot monopolize the link in a
+// single burst.
 
 // RepairSLO configures the latency-SLO-aware repair rate controller
 // (Config.RepairSLO). The zero value disables pacing: repair is admitted
@@ -262,7 +262,7 @@ func (r *Rack) repairActive() bool {
 		return true
 	}
 	for _, g := range r.groups {
-		if g.repairInFlight || g.recon.Pending() > 0 {
+		if g.repairInFlight || g.chunks.Pending() > 0 {
 			return true
 		}
 	}

@@ -306,7 +306,7 @@ func NewRack(cfg Config) (*Rack, error) {
 
 // installTraceHooks wires the pure-observer hooks of the lower layers
 // into the flight recorder: ToR pipeline dwell becomes a child span on
-// the in-flight request, and reconstructor queue transitions become
+// the in-flight request, and repair queue transitions become
 // control-plane instants. Only called with tracing enabled, and every
 // hook only reads state — the traced event sequence stays identical.
 func (r *Rack) installTraceHooks() {
@@ -327,7 +327,7 @@ func (r *Rack) installTraceHooks() {
 	}
 	for _, g := range r.groups {
 		g := g
-		g.recon.TraceHook = func(op string, t ec.RepairTask) {
+		g.chunks.TraceHook = func(op string, t ec.RepairTask) {
 			r.tracer.Instant("repair", "recon_"+op, r.eng.Now(),
 				trace.Int("group", int64(g.idx)),
 				trace.Int("holder", int64(t.Holder)),

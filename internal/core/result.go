@@ -39,7 +39,7 @@ type Result struct {
 	// reconstructing from k chunks instead of the home holder;
 	// ECSubWrites counts the fan-out sub-writes (1 data + m parity per
 	// logical write); RepairedStripes/RepairPending/RepairDelayed
-	// account the background reconstructor and its GC-idle-window gate.
+	// account the background repair queue and its GC-idle-window gate.
 	DegradedReads      int64
 	UnrecoverableReads int64
 	ECSubWrites        int64
@@ -187,9 +187,8 @@ func (r *Rack) Run() *Result {
 		res.RepairRateTimeline = append([]RatePoint(nil), r.pacer.timeline...)
 	}
 	for _, g := range r.groups {
-		res.RepairedStripes += int64(g.recon.RepairedStripes())
-		res.RepairPending += int64(g.recon.Pending())
-		res.RepairDelayed += int64(g.recon.DelayCount())
+		res.RepairedStripes += int64(g.chunks.RepairedStripes())
+		res.RepairPending += int64(g.chunks.Pending())
 		// Durability counts crashed servers only: a dark ToR loses no data.
 		if !g.chunks.Recoverable(func(s int) bool { return r.servers[s].failed }) {
 			res.UnrecoverableStripes += int64(g.usedStripes)

@@ -329,7 +329,7 @@ func TestAdopterCrashMidRepairRestartsRebuild(t *testing.T) {
 	}
 	res := r.Run()
 	g := r.groups[groupIdx]
-	if gen := g.recon.Gen(holder); gen < 2 {
+	if gen := g.chunks.Gen(holder); gen < 2 {
 		t.Fatalf("holder %d repair generation = %d, want >= 2 (restart after adopter death)", holder, gen)
 	}
 	if rp := g.chunks.Replacement(holder); rp < 0 || !g.insts[rp].server.reachable() {

@@ -3,9 +3,10 @@ package ec
 // ChunkMap is one stripe group's chunk map: for every chunk position —
 // the k+m global chunks in placement order, then (LRC) one local parity
 // per occupied rack — the server and rack holding it and where its
-// repair stands. It is a plain value. Server liveness is an argument of
-// every query, so crashes and ToR outages need no update; only the
-// repair lifecycle (Lose, Enqueue, Reintegrate) changes it.
+// repair stands, plus the group's repair queue. It is a plain value.
+// Server liveness is an argument of every query, so crashes and ToR
+// outages need no update; only the repair lifecycle (Lose, Enqueue,
+// Claim, Done, Reintegrate) changes it.
 //
 // The queries keep three liveness rules apart:
 //   - a source (Sources, RepairPlan) is reachable and has no rebuild
@@ -14,11 +15,30 @@ package ec
 //   - durability (Recoverable) counts crashed servers only — a dark ToR
 //     isolates chunks but destroys none.
 //
+// The map is deliberately passive about repair timing: the rack decides
+// *when* a task may run (only in switch-observed GC idle windows, the
+// same gate soft-GC requests pass) and calls Claim to take work; the map
+// only tracks what remains, and Done reports when a position's last
+// stripe has been rebuilt, the moment its replacement can be
+// re-registered in the switch stripe tables.
+//
 // Slice-returning queries append to buf[:0] and return it, so a caller
 // that keeps the result as its scratch allocates nothing once warm.
 type ChunkMap struct {
 	spec   Spec
 	chunks []chunk
+	// queue is the group's repair FIFO, oldest task first.
+	queue    []RepairTask
+	repaired int
+
+	// TraceHook, when non-nil, observes queue transitions ("enqueue",
+	// "done", "void", "reset") for the flight recorder. Every enqueued
+	// stripe reaches exactly one terminal transition — "done" when its
+	// repair counted, "void" when a later Enqueue of its position
+	// superseded it (whether it was still queued or already claimed) —
+	// so queue accounting balances: enqueued stripes == done stripes +
+	// void stripes. Pure observer: it must not touch the map.
+	TraceHook func(op string, t RepairTask)
 }
 
 // chunk is one position's holder and repair state.
@@ -36,6 +56,28 @@ type chunk struct {
 	// replacement is the position serving the chunk since its last
 	// re-integration, -1 for none.
 	replacement int
+	// left is the stripes of the latest repair not yet rebuilt, 0 once
+	// it completed.
+	left int
+	// gen is the repair generation, advanced by every Enqueue.
+	gen int
+}
+
+// RepairTask is one unit of background reconstruction: rebuild one
+// position's lost chunks over a contiguous batch of stripes onto its
+// pinned target. Batching keeps the repair queue (and the simulator's
+// event count) proportional to lost capacity, not to individual pages.
+type RepairTask struct {
+	// Holder is the chunk position being rebuilt.
+	Holder int
+	// FirstStripe and Stripes delimit the batch.
+	FirstStripe int
+	Stripes     int
+	// Gen is the position's repair generation at enqueue time. A later
+	// Enqueue advances the generation, so a task claimed before it
+	// reports Done as a stale no-op instead of counting toward the new
+	// rebuild.
+	Gen int
 }
 
 // NewChunkMap maps a group's chunk positions onto servers — the spec's
@@ -87,11 +129,98 @@ func (m *ChunkMap) Lose(pos, server int) {
 	}
 }
 
-// Enqueue starts a (fresh) rebuild of position pos onto position target.
-func (m *ChunkMap) Enqueue(pos, target int) {
-	m.chunks[pos].target = target
-	m.chunks[pos].repairing = true
+// notify reports one queue transition to the trace hook, if installed.
+func (m *ChunkMap) notify(op string, t RepairTask) {
+	if m.TraceHook != nil {
+		m.TraceHook(op, t)
+	}
 }
+
+// Enqueue starts a fresh rebuild of position pos onto position target:
+// it voids pos's queued tasks (the other tasks keep their order),
+// advances pos's generation so any task already claimed reports Done
+// as stale, pins target and queues [0, stripes) in batch-sized tasks.
+// Whatever a previous repair of pos had rebuilt is discarded — the
+// chunks it landed are lost or stale.
+func (m *ChunkMap) Enqueue(pos, target, stripes, batch int) {
+	kept := m.queue[:0]
+	for _, t := range m.queue {
+		if t.Holder != pos {
+			kept = append(kept, t)
+		} else {
+			// Still-queued work ends here; already-claimed work ends
+			// when its stale Done lands.
+			m.notify("void", t)
+		}
+	}
+	m.queue = kept
+	c := &m.chunks[pos]
+	c.gen++
+	c.target, c.repairing, c.left = target, true, stripes
+	m.notify("reset", RepairTask{Holder: pos, Gen: c.gen})
+	batch = max(batch, 1)
+	for first := 0; first < stripes; first += batch {
+		t := RepairTask{Holder: pos, FirstStripe: first, Stripes: min(batch, stripes-first), Gen: c.gen}
+		m.queue = append(m.queue, t)
+		m.notify("enqueue", t)
+	}
+}
+
+// Claim takes at most limit stripes of the oldest queued task, splitting
+// the task when it is larger: the claimed prefix is returned and the
+// remainder — same position, same generation — stays at the head of the
+// queue. The repair pacer uses it to cut enqueued batches down to
+// token-sized transfers, so a large batch cannot monopolize the shared
+// spine link in one burst. A limit below 1 claims one stripe; ok is
+// false when the queue is empty.
+func (m *ChunkMap) Claim(limit int) (t RepairTask, ok bool) {
+	if len(m.queue) == 0 {
+		return RepairTask{}, false
+	}
+	t = m.queue[0]
+	limit = max(limit, 1)
+	if t.Stripes <= limit {
+		m.queue = m.queue[1:]
+		return t, true
+	}
+	m.queue[0].FirstStripe += limit
+	m.queue[0].Stripes -= limit
+	t.Stripes = limit
+	return t, true
+}
+
+// Done records a rebuilt task and reports whether its position is now
+// complete — every stripe of its latest Enqueue has been rebuilt — so
+// the caller can re-register the replacement. A task of a superseded
+// generation is void: it counts toward neither progress nor completion,
+// and the trace hook sees the "void" that balances its "enqueue". Done
+// is idempotent: reporting a task again after its position completed is
+// a no-op, not a second completion.
+func (m *ChunkMap) Done(t RepairTask) (complete bool) {
+	c := &m.chunks[t.Holder]
+	if t.Gen != c.gen {
+		m.notify("void", t)
+		return false
+	}
+	if c.left == 0 {
+		return false
+	}
+	m.notify("done", t)
+	m.repaired += t.Stripes
+	c.left = max(c.left-t.Stripes, 0)
+	return c.left == 0
+}
+
+// Gen returns position pos's repair generation. The caller can stamp
+// deferred completion work with it and drop the work if the generation
+// has moved on — the position was lost again.
+func (m *ChunkMap) Gen(pos int) int { return m.chunks[pos].gen }
+
+// Pending returns the queued task count.
+func (m *ChunkMap) Pending() int { return len(m.queue) }
+
+// RepairedStripes returns how many stripes have been rebuilt.
+func (m *ChunkMap) RepairedStripes() int { return m.repaired }
 
 // Reintegrate closes pos's rebuild: its target becomes its replacement.
 func (m *ChunkMap) Reintegrate(pos int) {

@@ -311,7 +311,7 @@ func TestChunkMapRepairLifecycle(t *testing.T) {
 		t.Fatalf("RS adopter of 0 = %d, want the next reachable position 1", adopter)
 	}
 	m.Lose(0, servers[0])
-	m.Enqueue(0, adopter)
+	m.Enqueue(0, adopter, 8, 4)
 	if !m.Crashed(0) || m.Target(0) != adopter || m.Reintegrated() {
 		t.Fatalf("after loss: crashed %v target %d reintegrated %v", m.Crashed(0), m.Target(0), m.Reintegrated())
 	}
@@ -323,7 +323,7 @@ func TestChunkMapRepairLifecycle(t *testing.T) {
 	// The server returns blank: a catch-up repair pins the holder itself,
 	// which is no source while it catches up.
 	failed[servers[0]] = false
-	m.Enqueue(0, 0)
+	m.Enqueue(0, 0, 8, 4)
 	if src, _ := m.Sources(nil, 1, 2, up, idle); contains(src, 0) {
 		t.Fatalf("catching-up position 0 serves a read: %v", src)
 	}
@@ -343,7 +343,7 @@ func TestChunkMapRepairLifecycle(t *testing.T) {
 
 	// Losing the adopter's server drops only a replacement it holds;
 	// losing the restored holder's server drops its own.
-	m.Enqueue(3, 4)
+	m.Enqueue(3, 4, 8, 4)
 	m.Reintegrate(3)
 	m.Lose(3, servers[5])
 	if m.Replacement(3) != 4 || m.Crashed(3) {

@@ -2,10 +2,10 @@
 // subsystem: an RS(k,m) codec over GF(2^8), a Striper that maps a vSSD's
 // logical pages onto k data + m parity chunks with rotated parity, a
 // rack-aware Placer that never co-locates two chunks of one stripe on the
-// same server, a Reconstructor that queues chunk repairs so the rack
-// can admit repair traffic only in switch-observed GC idle windows, and
-// a ChunkMap that tracks where a group's chunks live and plans their
-// degraded reads and repairs.
+// same server, and a ChunkMap that tracks where a group's chunks live,
+// plans their degraded reads and repairs, and queues chunk repairs so
+// the rack can admit repair traffic only in switch-observed GC idle
+// windows.
 //
 // The codec is systematic: the first k shards of a stripe are the data
 // itself and the m parity shards are generated from a Cauchy matrix, whose

@@ -154,14 +154,14 @@ func TestGFArithmetic(t *testing.T) {
 
 // TestReconstructor exercises the repair queue's batching and accounting.
 func TestReconstructor(t *testing.T) {
-	r := NewReconstructor()
-	r.EnqueueChunk(3, 130, 64)
-	if r.Pending() != 3 { // 64 + 64 + 2
-		t.Fatalf("pending = %d, want 3", r.Pending())
+	m, _, _ := spreadGroup(false)
+	m.Enqueue(3, 4, 130, 64)
+	if m.Pending() != 3 { // 64 + 64 + 2
+		t.Fatalf("pending = %d, want 3", m.Pending())
 	}
 	total := 0
 	for {
-		task, ok := r.Next()
+		task, ok := m.Claim(64)
 		if !ok {
 			break
 		}
@@ -169,26 +169,27 @@ func TestReconstructor(t *testing.T) {
 			t.Fatalf("holder = %d, want 3", task.Holder)
 		}
 		total += task.Stripes
-		r.Done(task)
+		m.Done(task)
 	}
-	if total != 130 || r.RepairedStripes() != 130 {
-		t.Fatalf("repaired %d/%d stripes, want 130", total, r.RepairedStripes())
+	if total != 130 || m.RepairedStripes() != 130 {
+		t.Fatalf("repaired %d/%d stripes, want 130", total, m.RepairedStripes())
 	}
 }
 
 // TestReconstructorNextUpTo exercises the token-sized splitting the
-// repair pacer relies on: a large enqueued batch is claimed in limit-
-// sized prefixes covering contiguous disjoint stripe ranges, completion
-// accounting still converges, and a Reset mid-split voids the claimed
-// prefix along with the queued remainder.
+// repair pacer relies on: Claim cuts a large enqueued batch into
+// limit-sized prefixes covering contiguous disjoint stripe ranges,
+// completion accounting still converges, and a later Enqueue of the
+// position mid-split voids the claimed prefix along with the queued
+// remainder.
 func TestReconstructorNextUpTo(t *testing.T) {
-	r := NewReconstructor()
-	r.EnqueueChunk(2, 100, 64) // tasks of 64 + 36 stripes
+	m, _, _ := spreadGroup(false)
+	m.Enqueue(2, 3, 100, 64) // tasks of 64 + 36 stripes
 
 	covered := make(map[int]bool)
 	claims := 0
 	for {
-		task, ok := r.NextUpTo(10)
+		task, ok := m.Claim(10)
 		if !ok {
 			break
 		}
@@ -205,29 +206,29 @@ func TestReconstructorNextUpTo(t *testing.T) {
 			}
 			covered[s] = true
 		}
-		if done := r.Done(task); done != (len(covered) == 100) {
+		if done := m.Done(task); done != (len(covered) == 100) {
 			t.Fatalf("Done reported completion %v with %d/100 stripes", done, len(covered))
 		}
 	}
 	if len(covered) != 100 || claims != 11 { // ceil(64/10)+ceil(36/10) splits
 		t.Fatalf("covered %d stripes in %d claims, want 100 in 11", len(covered), claims)
 	}
-	if r.RepairedStripes() != 100 || r.Remaining(2) != 0 {
-		t.Fatalf("repaired %d, remaining %d", r.RepairedStripes(), r.Remaining(2))
+	if m.RepairedStripes() != 100 || m.chunks[2].left != 0 {
+		t.Fatalf("repaired %d, left %d", m.RepairedStripes(), m.chunks[2].left)
 	}
 
 	// A limit below 1 claims a single stripe; the remainder keeps its
-	// generation so Reset voids both halves.
-	r.EnqueueChunk(5, 3, 64)
-	one, ok := r.NextUpTo(0)
+	// generation, so a fresh Enqueue voids both halves.
+	m.Enqueue(5, 0, 3, 64)
+	one, ok := m.Claim(0)
 	if !ok || one.Stripes != 1 {
-		t.Fatalf("NextUpTo(0) = %+v, %v; want a one-stripe claim", one, ok)
+		t.Fatalf("Claim(0) = %+v, %v; want a one-stripe claim", one, ok)
 	}
-	r.Reset(5)
-	if r.Done(one) {
-		t.Fatal("stale split claim completed a reset holder")
+	m.Enqueue(5, 0, 3, 64)
+	if m.Done(one) {
+		t.Fatal("stale split claim completed a re-enqueued holder")
 	}
-	if r.Pending() != 0 {
-		t.Fatalf("pending after reset = %d", r.Pending())
+	if m.Pending() != 1 || m.chunks[5].left != 3 {
+		t.Fatalf("after re-enqueue: pending %d, left %d; want only the fresh task of 3", m.Pending(), m.chunks[5].left)
 	}
 }

@@ -8,38 +8,37 @@ import (
 
 // TestDoneIdempotentAfterHolderComplete is the regression test for the
 // double-report bug: a duplicate Done for an already-completed holder
-// used to drive remaining through the left > 0 guard (0 - stripes < 0)
-// and return a second spurious holderComplete=true, re-triggering
-// re-integration.
+// used to drive the stripes left below zero and return a second
+// spurious completion, re-triggering re-integration.
 func TestDoneIdempotentAfterHolderComplete(t *testing.T) {
-	r := NewReconstructor()
-	r.EnqueueChunk(3, 64, 64)
-	task, ok := r.Next()
+	m, _, _ := spreadGroup(false)
+	m.Enqueue(3, 4, 64, 64)
+	task, ok := m.Claim(64)
 	if !ok {
 		t.Fatal("no task")
 	}
-	if !r.Done(task) {
+	if !m.Done(task) {
 		t.Fatal("first Done did not complete the holder")
 	}
-	if r.Done(task) {
-		t.Fatal("duplicate Done reported holderComplete=true again")
+	if m.Done(task) {
+		t.Fatal("duplicate Done reported completion again")
 	}
-	if got := r.RepairedStripes(); got != 64 {
+	if got := m.RepairedStripes(); got != 64 {
 		t.Fatalf("duplicate Done double-counted repairs: %d, want 64", got)
 	}
-	if got := r.Remaining(3); got != 0 {
-		t.Fatalf("remaining after duplicate Done = %d, want 0", got)
+	if got := m.chunks[3].left; got != 0 {
+		t.Fatalf("stripes left after duplicate Done = %d, want 0", got)
 	}
 	// A fresh enqueue for the same holder starts clean.
-	r.EnqueueChunk(3, 10, 64)
-	task, _ = r.Next()
-	if !r.Done(task) {
+	m.Enqueue(3, 4, 10, 64)
+	task, _ = m.Claim(64)
+	if !m.Done(task) {
 		t.Fatal("re-enqueued holder did not complete")
 	}
 }
 
 // stripeLedger tallies TraceHook transitions in stripes, not tasks:
-// NextUpTo splits one enqueued task into several terminal reports, so
+// Claim splits one enqueued task into several terminal reports, so
 // only the stripe counts can balance.
 type stripeLedger struct{ enqueued, done, void, resets int }
 
@@ -57,40 +56,42 @@ func (l *stripeLedger) hook(op string, t RepairTask) {
 }
 
 // TestTraceHookVoidBalance is the regression test for the skipped
-// terminal transition: tasks superseded by Reset — whether still queued
-// or already claimed — used to emit "enqueue" with no matching terminal
-// op, so flight-recorder queue accounting could never balance. Every
-// enqueued stripe must now reach exactly one of "done" or "void".
+// terminal transition: tasks superseded by a later Enqueue — whether
+// still queued or already claimed — used to emit "enqueue" with no
+// matching terminal op, so flight-recorder queue accounting could never
+// balance. Every enqueued stripe must now reach exactly one of "done"
+// or "void".
 func TestTraceHookVoidBalance(t *testing.T) {
-	r := NewReconstructor()
+	m, _, _ := spreadGroup(false)
 	var ledger stripeLedger
-	r.TraceHook = ledger.hook
+	m.TraceHook = ledger.hook
 
-	r.EnqueueChunk(1, 100, 64) // tasks of 64 + 36
-	claimed, _ := r.NextUpTo(10)
-	r.Reset(1) // voids the queued 90, leaves the claimed 10 in flight
+	m.Enqueue(1, 2, 100, 64) // tasks of 64 + 36
+	claimed, _ := m.Claim(10)
+	// Re-enqueueing voids the queued 90 and leaves the claimed 10 in
+	// flight.
+	m.Enqueue(1, 2, 20, 64)
 	if ledger.void != 90 {
-		t.Fatalf("Reset voided %d stripes, want 90 (the queued remainder)", ledger.void)
+		t.Fatalf("Enqueue voided %d stripes, want 90 (the queued remainder)", ledger.void)
 	}
-	if r.Done(claimed) {
-		t.Fatal("stale claim completed a reset holder")
+	if m.Done(claimed) {
+		t.Fatal("stale claim completed a re-enqueued holder")
 	}
 	if ledger.void != 100 {
 		t.Fatalf("stale Done voided %d stripes total, want 100", ledger.void)
 	}
 
 	// The holder's re-enqueued rebuild completes normally.
-	r.EnqueueChunk(1, 20, 64)
-	task, _ := r.Next()
-	if !r.Done(task) {
+	task, _ := m.Claim(64)
+	if !m.Done(task) {
 		t.Fatal("re-enqueued rebuild did not complete")
 	}
 	if ledger.enqueued != ledger.done+ledger.void {
 		t.Fatalf("unbalanced ledger: enqueued %d != done %d + void %d",
 			ledger.enqueued, ledger.done, ledger.void)
 	}
-	if ledger.done != 20 || ledger.resets != 1 {
-		t.Fatalf("done=%d resets=%d, want 20 and 1", ledger.done, ledger.resets)
+	if ledger.done != 20 || ledger.resets != 2 {
+		t.Fatalf("done=%d resets=%d, want 20 and 2", ledger.done, ledger.resets)
 	}
 }
 
@@ -131,19 +132,19 @@ func TestCompactPlacementRejectsWidthOverServers(t *testing.T) {
 	}
 }
 
-// TestNextUpToResetProperty drives random claim / split / reset / done /
-// duplicate-done sequences against a reference model and asserts the
-// repair queue's lifecycle invariants: split remainders inherit the
-// head's generation, voided (stale-generation) completions never count
-// toward the new rebuild, Remaining never goes negative, and the trace
-// ledger balances once everything drains.
+// TestNextUpToResetProperty drives random enqueue / claim / split /
+// supersede / done / duplicate-done sequences against a reference model
+// and asserts the repair queue's lifecycle invariants: split remainders
+// inherit the head's generation, voided (stale-generation) completions
+// never count toward the new rebuild, the stripes left never go
+// negative, and the trace ledger balances once everything drains.
 func TestNextUpToResetProperty(t *testing.T) {
 	const holders = 3
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := NewReconstructor()
+		m, _, _ := spreadGroup(false)
 		var ledger stripeLedger
-		r.TraceHook = ledger.hook
+		m.TraceHook = ledger.hook
 
 		modelRemaining := make([]int, holders)
 		modelGen := make([]int, holders)
@@ -153,22 +154,22 @@ func TestNextUpToResetProperty(t *testing.T) {
 
 		check := func() bool {
 			for h := 0; h < holders; h++ {
-				if r.Remaining(h) < 0 {
-					t.Errorf("seed %d: Remaining(%d) = %d < 0", seed, h, r.Remaining(h))
+				left := m.chunks[h].left
+				if left < 0 {
+					t.Errorf("seed %d: left(%d) = %d < 0", seed, h, left)
 					return false
 				}
-				if r.Remaining(h) != modelRemaining[h] {
-					t.Errorf("seed %d: Remaining(%d) = %d, model %d",
-						seed, h, r.Remaining(h), modelRemaining[h])
+				if left != modelRemaining[h] {
+					t.Errorf("seed %d: left(%d) = %d, model %d", seed, h, left, modelRemaining[h])
 					return false
 				}
-				if r.Gen(h) != modelGen[h] {
-					t.Errorf("seed %d: Gen(%d) = %d, model %d", seed, h, r.Gen(h), modelGen[h])
+				if m.Gen(h) != modelGen[h] {
+					t.Errorf("seed %d: Gen(%d) = %d, model %d", seed, h, m.Gen(h), modelGen[h])
 					return false
 				}
 			}
-			if r.RepairedStripes() != modelRepaired {
-				t.Errorf("seed %d: repaired %d, model %d", seed, r.RepairedStripes(), modelRepaired)
+			if m.RepairedStripes() != modelRepaired {
+				t.Errorf("seed %d: repaired %d, model %d", seed, m.RepairedStripes(), modelRepaired)
 				return false
 			}
 			return true
@@ -181,7 +182,7 @@ func TestNextUpToResetProperty(t *testing.T) {
 				modelRemaining[task.Holder] -= task.Stripes
 				want = modelRemaining[task.Holder] == 0
 			}
-			if got := r.Done(task); got != want {
+			if got := m.Done(task); got != want {
 				t.Errorf("seed %d: Done(%+v) = %v, want %v (stale=%v)", seed, task, got, want, stale)
 				return false
 			}
@@ -194,17 +195,19 @@ func TestNextUpToResetProperty(t *testing.T) {
 		for step := 0; step < 60; step++ {
 			h := rng.Intn(holders)
 			switch rng.Intn(5) {
-			case 0: // enqueue a fresh batch
+			case 0: // enqueue a fresh rebuild
 				n := 1 + rng.Intn(40)
-				r.EnqueueChunk(h, n, 1+rng.Intn(16))
-				modelRemaining[h] += n
+				m.Enqueue(h, h, n, 1+rng.Intn(16))
+				modelGen[h]++
+				modelRemaining[h] = n
 			case 1: // claim a (possibly split) prefix
-				task, ok := r.NextUpTo(1 + rng.Intn(12))
+				task, ok := m.Claim(1 + rng.Intn(12))
 				if !ok {
 					continue
 				}
-				// Queued tasks are always current-generation (Reset purges
-				// them), so a split head and its remainder share the gen.
+				// Queued tasks are always current-generation (Enqueue
+				// purges the position's old ones), so a split head and
+				// its remainder share the gen.
 				if task.Gen != modelGen[task.Holder] {
 					t.Errorf("seed %d: claimed task gen %d, holder gen %d",
 						seed, task.Gen, modelGen[task.Holder])
@@ -221,8 +224,8 @@ func TestNextUpToResetProperty(t *testing.T) {
 				if !doDone(task) {
 					return false
 				}
-			case 3: // reset a holder: void its queue, supersede its claims
-				r.Reset(h)
+			case 3: // supersede a holder with an empty rebuild: void its queue and claims
+				m.Enqueue(h, h, 0, 1)
 				modelGen[h]++
 				modelRemaining[h] = 0
 			case 4: // duplicate Done for a completed holder: silent no-op
@@ -231,16 +234,17 @@ func TestNextUpToResetProperty(t *testing.T) {
 				}
 				task := completed[rng.Intn(len(completed))]
 				if task.Gen != modelGen[task.Holder] || modelRemaining[task.Holder] != 0 {
-					// A re-enqueued same-generation holder makes the duplicate
-					// indistinguishable from a live claim, and a reset makes it
-					// a stale report; neither is the double-report scenario.
+					// A duplicate of a still-open rebuild's task is
+					// indistinguishable from a live claim, and a later
+					// Enqueue makes it a stale report; neither is the
+					// double-report scenario.
 					continue
 				}
-				if r.Done(task) {
-					t.Errorf("seed %d: duplicate Done(%+v) reported holderComplete", seed, task)
+				if m.Done(task) {
+					t.Errorf("seed %d: duplicate Done(%+v) reported completion", seed, task)
 					return false
 				}
-				if r.RepairedStripes() != modelRepaired {
+				if m.RepairedStripes() != modelRepaired {
 					t.Errorf("seed %d: duplicate Done recounted stripes", seed)
 					return false
 				}
@@ -253,7 +257,7 @@ func TestNextUpToResetProperty(t *testing.T) {
 		// Drain: complete everything still queued or in flight, then the
 		// stripe ledger must balance exactly.
 		for {
-			task, ok := r.Next()
+			task, ok := m.Claim(16)
 			if !ok {
 				break
 			}
