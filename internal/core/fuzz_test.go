@@ -114,14 +114,15 @@ func FuzzScenarioValidate(f *testing.F) {
 
 // FuzzScenarioRun runs every timeline Validate accepts on the smallest
 // multi-rack cluster — two racks of three servers, a short run — and
-// asserts the run completes without a panic or an error and that the
-// spine never delivers more than was offered, for foreground and repair
-// bytes alike. The first byte picks the redundancy: Hermes
-// replication, RS(2,2) or LRC(2,2), both spread across the racks; every
-// following 4-byte record is one fuzzEvent. This drives the failure
-// control plane — failover install, member-dead marks, re-integration,
-// ToR replay and Hermes re-pairing — through orderings no hand-written
-// test lists.
+// asserts the run completes without a panic or an error, drains within
+// an hour of simulated time, and that the spine never delivers more than was
+// offered, for foreground and repair bytes alike. The first byte picks
+// the redundancy — Hermes replication, RS(2,2) or LRC(2,2), both spread
+// across the racks — from its low seven bits, and its top bit turns on
+// the SLO repair pacer; every following 4-byte record is one fuzzEvent.
+// This drives the failure control plane — failover install, member-dead
+// marks, re-integration, ToR replay and Hermes re-pairing — and the
+// pacer through orderings no hand-written test lists.
 func FuzzScenarioRun(f *testing.F) {
 	f.Add([]byte{0})                                                       // replication, healthy
 	f.Add([]byte{0, 2, 1, 0, 100, 4, 1, 3, 232})                           // replication: tor 1 dark 10-100 ms
@@ -132,6 +133,7 @@ func FuzzScenarioRun(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 100, 3, 0, 2, 88, 0, 0, 3, 32})               // LRC: crash, revive, crash again
 	f.Add([]byte{2, 2, 0, 0, 100, 0, 4, 0, 200, 4, 0, 3, 32})              // LRC: tor dark, remote crash, tor back
 	f.Add([]byte{2, 0, 1, 0, 100, 1, 1, 3, 32})                            // LRC: a rack-0 crash, then rack 1
+	f.Add([]byte{0x82, 1, 0, 2, 98, 2, 1, 3, 232})                         // paced LRC: rack 0 crashes, tor 1 dark: no member to rebuild onto
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -141,11 +143,14 @@ func FuzzScenarioRun(f *testing.F) {
 		cfg.Racks, cfg.StorageServers = 2, 3
 		cfg.Warmup = 20 * sim.Millisecond
 		cfg.Duration = 150 * sim.Millisecond
-		switch data[0] % 3 {
+		switch (data[0] & 0x7f) % 3 {
 		case 1:
 			cfg.Redundancy, cfg.Placement = ErasureCode(2, 2), PlacementSpread
 		case 2:
 			cfg.Redundancy, cfg.Placement = LocalParityCode(2, 2), PlacementSpread
+		}
+		if data[0]&0x80 != 0 {
+			cfg.RepairSLO = RepairSLO{TargetP99: 6400 * sim.Microsecond}
 		}
 		for i := 1; i+4 <= len(data); i += 4 {
 			cfg.Scenario = append(cfg.Scenario, fuzzEvent(data[i:i+4]))
@@ -153,10 +158,14 @@ func FuzzScenarioRun(f *testing.F) {
 		if cfg.Validate() != nil {
 			return
 		}
-		res, err := Run(cfg)
+		r, err := NewRack(cfg)
 		if err != nil {
-			t.Fatalf("Run(%v, %v): %v", cfg.Redundancy, cfg.Scenario, err)
+			t.Fatalf("NewRack(%v, %v): %v", cfg.Redundancy, cfg.Scenario, err)
 		}
+		// Paced repair at the pacer's 1 MB/s floor legitimately runs for
+		// seconds; a run that never drains reaches the hour in well
+		// under a second of host time.
+		res := runBounded(t, r, 3600*sim.Second)
 		if res.ForegroundCrossRackBytes > res.ForegroundCrossRackBytesOffered {
 			t.Errorf("spine delivered %d foreground bytes of %d offered",
 				res.ForegroundCrossRackBytes, res.ForegroundCrossRackBytesOffered)

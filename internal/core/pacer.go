@@ -255,14 +255,16 @@ func (r *Rack) pacerTick() {
 	}
 }
 
-// repairActive reports whether any repair work is queued, admitted, or
-// in flight.
+// repairActive reports whether any repair work is admitted, in flight,
+// or queued behind an armed pump. Tasks queued with no pump armed wait
+// for a member to return (runRepairTask found none reachable to rebuild
+// onto); counting them would keep the tick re-arming forever.
 func (r *Rack) repairActive() bool {
 	if r.pacer != nil && r.pacer.lane.Queued() > 0 {
 		return true
 	}
 	for _, g := range r.groups {
-		if g.repairInFlight || g.chunks.Pending() > 0 {
+		if g.repairInFlight || g.repairArmed && g.chunks.Pending() > 0 {
 			return true
 		}
 	}

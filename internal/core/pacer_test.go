@@ -99,10 +99,7 @@ func TestSpineByteCountersReconcileMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drive the run by hand so the clock can stop mid-transfer.
-	r.stopIssuing = cfg.Warmup + cfg.Duration
-	r.startClients()
-	r.startGCMonitors()
-	r.scheduleScenario()
+	r.start()
 
 	s := r.spine
 	sawInFlight := false
@@ -140,5 +137,48 @@ func TestSpineByteCountersReconcileMidRun(t *testing.T) {
 	if s.crossRepairBytes == 0 || s.foregroundBytes == 0 {
 		t.Errorf("spine moved no bytes: repair %d foreground %d",
 			s.crossRepairBytes, s.foregroundBytes)
+	}
+}
+
+// runBounded runs r like Run but fails t if an event is still pending
+// past horizon simulated: every run must drain.
+func runBounded(t *testing.T, r *Rack, horizon sim.Time) *Result {
+	t.Helper()
+	r.start()
+	for r.eng.Step() {
+		if r.eng.Now() > horizon {
+			t.Fatalf("%d events still pending at %v simulated: the run never drains",
+				r.eng.Pending()+1, r.eng.Now())
+		}
+	}
+	return r.result()
+}
+
+// TestPacedRunDrainsWithNoReachableMember is the regression test for a
+// paced run that never ended: two rack crashes and two dark ToRs leave
+// every member of a group unreachable while its repair is queued, so
+// runRepairTask finds no adopter and leaves the tasks queued with no
+// pump armed. The pacer counted those tasks as active repair and
+// re-armed its tick forever.
+func TestPacedRunDrainsWithNoReachableMember(t *testing.T) {
+	cfg := lrcConfig()
+	cfg.CrossRackMBps = 80
+	cfg.RepairSLO = RepairSLO{TargetP99: 6400 * sim.Microsecond}
+	cfg.Warmup = 20 * sim.Millisecond
+	cfg.Duration = 200 * sim.Millisecond
+	cfg.Seed = 66
+	cfg.Scenario = []Event{
+		FailRack(0, 61*sim.Millisecond),
+		FailToR(1, 74*sim.Millisecond),
+		FailRack(2, 133*sim.Millisecond),
+		FailToR(2, 145*sim.Millisecond),
+	}
+	r, err := NewRack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runBounded(t, r, 5*sim.Second)
+	if res.RepairPending == 0 {
+		t.Error("no repair task was left queued; the dead-end scenario is gone")
 	}
 }

@@ -153,6 +153,15 @@ func Run(cfg Config) (*Result, error) {
 // Run drives the rack: clients issue during [0, Warmup+Duration), GC
 // monitors patrol, then the event queue drains outstanding work.
 func (r *Rack) Run() *Result {
+	r.start()
+	r.eng.Run()
+	return r.result()
+}
+
+// start schedules a run's opening events: the metrics sampler, the
+// clients, the GC monitors, the scenario timeline and the pacer's first
+// tick.
+func (r *Rack) start() {
 	r.stopIssuing = r.cfg.Warmup + r.cfg.Duration
 	r.startMetrics()
 	r.startClients()
@@ -161,8 +170,10 @@ func (r *Rack) Run() *Result {
 	if r.pacer != nil {
 		r.eng.AfterHandler(r.pacer.slo.Interval, r.lbl.pacedTick, (*pacerTickEvent)(r))
 	}
-	r.eng.Run()
+}
 
+// result assembles the Result of a drained run.
+func (r *Rack) result() *Result {
 	// A copy, so the returned Result does not keep the Rack alive.
 	res := r.res
 	for _, tor := range r.tors {
