@@ -29,47 +29,3 @@ func (d Dist) PlotCDF(title string, width int) string {
 	}
 	return b.String()
 }
-
-// Histogram renders an ASCII latency histogram with the given number of
-// equal-width buckets over [min, max].
-func (d Dist) Histogram(buckets, width int) string {
-	if buckets < 2 {
-		buckets = 10
-	}
-	if width < 10 {
-		width = 40
-	}
-	if d.Len() == 0 {
-		return "(empty)\n"
-	}
-	lo, hi := d.Min(), d.Max()
-	if hi == lo {
-		hi = lo + 1
-	}
-	span := (hi - lo + int64(buckets) - 1) / int64(buckets)
-	counts := make([]int, buckets)
-	for _, v := range d.v {
-		idx := int((v - lo) / span)
-		if idx >= buckets {
-			idx = buckets - 1
-		}
-		counts[idx]++
-	}
-	maxCount := 0
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range counts {
-		bar := 0
-		if maxCount > 0 {
-			bar = c * width / maxCount
-		}
-		fmt.Fprintf(&b, "%10s-%10s |%-*s| %d\n",
-			Us(lo+int64(i)*span), Us(lo+int64(i+1)*span), width,
-			strings.Repeat("#", bar), c)
-	}
-	return b.String()
-}

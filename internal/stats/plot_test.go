@@ -33,34 +33,3 @@ func TestPlotCDFEmpty(t *testing.T) {
 		t.Fatalf("empty plot: %s", out)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	r := NewRecorder()
-	for i := 0; i < 100; i++ {
-		r.Add(Sample{Total: int64(i%10) * 1000}, int64(i))
-	}
-	out := r.All().Histogram(5, 20)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("buckets = %d, want 5:\n%s", len(lines), out)
-	}
-	// Uniform data: every bucket holds 20 samples.
-	for _, l := range lines {
-		if !strings.HasSuffix(l, " 20") {
-			t.Fatalf("non-uniform bucket: %q", l)
-		}
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	if NewRecorder().All().Histogram(0, 0) != "(empty)\n" {
-		t.Fatal("empty histogram")
-	}
-	r := NewRecorder()
-	r.Add(Sample{Total: 5}, 0)
-	r.Add(Sample{Total: 5}, 1)
-	out := r.All().Histogram(3, 10)
-	if out == "" {
-		t.Fatal("constant-value histogram empty")
-	}
-}

@@ -47,7 +47,6 @@ type Recorder struct {
 	n      int
 	// start/end bound the measurement window for throughput.
 	start, end int64
-	redirects  int
 }
 
 // NewRecorder returns an empty recorder.
@@ -60,9 +59,6 @@ func (r *Recorder) Add(s Sample, now int64) {
 	}
 	if now > r.end {
 		r.end = now
-	}
-	if s.Redirected {
-		r.redirects++
 	}
 	for r.cur < len(r.blocks) && len(r.blocks[r.cur]) == blockSamples {
 		r.cur++
@@ -77,16 +73,13 @@ func (r *Recorder) Add(s Sample, now int64) {
 // Len returns the number of recorded samples.
 func (r *Recorder) Len() int { return r.n }
 
-// Redirects returns how many samples were redirected by the switch.
-func (r *Recorder) Redirects() int { return r.redirects }
-
 // Reset clears all samples while keeping capacity.
 func (r *Recorder) Reset() {
 	for i := range r.blocks {
 		r.blocks[i] = r.blocks[i][:0]
 	}
 	r.cur, r.n = 0, 0
-	r.start, r.end, r.redirects = 0, 0, 0
+	r.start, r.end = 0, 0
 }
 
 // filter returns latencies selected by keep and extracted by get, sorted.
@@ -218,17 +211,6 @@ func (d Dist) TailCDF(pcts ...float64) []CDFPoint {
 // Ms formats a nanosecond latency as milliseconds with two decimals,
 // the unit used in the paper's figures.
 func Ms(ns int64) string { return fmt.Sprintf("%.2fms", float64(ns)/1e6) }
-
-// Us formats a nanosecond latency as microseconds.
-func Us(ns int64) string { return fmt.Sprintf("%.1fus", float64(ns)/1e3) }
-
-// Normalize returns v/base, guarding against a zero base.
-func Normalize(v, base int64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return float64(v) / float64(base)
-}
 
 // Speedup returns base/v (how many times faster v is than base).
 func Speedup(base, v int64) float64 {

@@ -116,16 +116,6 @@ func TestThroughputDegenerate(t *testing.T) {
 	}
 }
 
-func TestRedirectCounting(t *testing.T) {
-	r := NewRecorder()
-	r.Add(Sample{Redirected: true}, 0)
-	r.Add(Sample{}, 1)
-	r.Add(Sample{Redirected: true}, 2)
-	if r.Redirects() != 2 {
-		t.Fatalf("redirects = %d, want 2", r.Redirects())
-	}
-}
-
 func TestReset(t *testing.T) {
 	r := rec(1, 2, 3)
 	r.Reset()
@@ -196,18 +186,9 @@ func TestFormatters(t *testing.T) {
 	if Ms(2_500_000) != "2.50ms" {
 		t.Fatalf("Ms = %q", Ms(2_500_000))
 	}
-	if Us(2_500) != "2.5us" {
-		t.Fatalf("Us = %q", Us(2_500))
-	}
 }
 
-func TestNormalizeAndSpeedup(t *testing.T) {
-	if Normalize(50, 100) != 0.5 {
-		t.Fatal("normalize")
-	}
-	if Normalize(50, 0) != 0 {
-		t.Fatal("normalize zero base")
-	}
+func TestSpeedup(t *testing.T) {
 	if Speedup(100, 50) != 2 {
 		t.Fatal("speedup")
 	}
