@@ -115,14 +115,15 @@ func FuzzScenarioValidate(f *testing.F) {
 // FuzzScenarioRun runs every timeline Validate accepts on the smallest
 // multi-rack cluster — two racks of three servers, a short run — and
 // asserts the run completes without a panic or an error, drains within
-// an hour of simulated time, and that the spine never delivers more than was
-// offered, for foreground and repair bytes alike. The first byte picks
-// the redundancy — Hermes replication, RS(2,2) or LRC(2,2), both spread
-// across the racks — from its low seven bits, and its top bit turns on
-// the SLO repair pacer; every following 4-byte record is one fuzzEvent.
-// This drives the failure control plane — failover install, member-dead
-// marks, re-integration, ToR replay and Hermes re-pairing — and the
-// pacer through orderings no hand-written test lists.
+// an hour of simulated time, and that the spine never delivers more
+// than was offered, for foreground and repair bytes alike. The first
+// byte picks the redundancy — Hermes replication, RS(2,2) or LRC(2,2),
+// both spread across the racks — from its low seven bits, and its top
+// bit turns on the SLO repair pacer; every following 4-byte record is
+// one fuzzEvent. This drives the failure control plane — failover
+// install, member-dead marks, re-integration, ToR replay and Hermes
+// re-pairing — and the pacer through orderings no hand-written test
+// lists.
 func FuzzScenarioRun(f *testing.F) {
 	f.Add([]byte{0})                                                       // replication, healthy
 	f.Add([]byte{0, 2, 1, 0, 100, 4, 1, 3, 232})                           // replication: tor 1 dark 10-100 ms
